@@ -36,6 +36,10 @@ from .qcc import QccVerdict, check_qcc, unimodality_profile
 
 OUT_DIR_ENV = "QCCHECK_OUT_DIR"
 
+# Largest belief grid `--grid` may ask for, in beliefs per problem.  A larger
+# sweep would not finish in useful time, so it is refused before any work.
+_MAX_GRID_BELIEFS = 10**6
+
 
 class InputFileError(ValueError):
     """Malformed problem or polynomial file; maps to exit code 1."""
@@ -518,6 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_grid(denominator: int, states: int) -> None:
+    """Refuse a `--grid` that is negative or exceeds `_MAX_GRID_BELIEFS`
+    beliefs over `states` states."""
+    if denominator < 0:
+        raise InputFileError(f"--grid must be 0 (off) or positive, got {denominator}")
+    if denominator and states > 0:
+        count = GridSpec(denominator, states).count
+        if count > _MAX_GRID_BELIEFS:
+            raise InputFileError(
+                f"--grid {denominator} over {states} states is {count} beliefs; "
+                f"the limit is {_MAX_GRID_BELIEFS}"
+            )
+
+
 def _timed(builder) -> dict:
     start = time.perf_counter()
     doc = builder()
@@ -527,7 +545,9 @@ def _timed(builder) -> dict:
 
 def _dispatch(args: argparse.Namespace) -> dict:
     if args.command == "analyze":
-        return analyze_problem(_load_problem(args.file), args.grid)
+        problem = _load_problem(args.file)
+        _check_grid(args.grid, problem.num_states)
+        return analyze_problem(problem, args.grid)
     if args.command == "check-qcc":
         problem = _load_problem(args.file)
 
@@ -594,6 +614,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
             raise InputFileError("--grid-points must be at least 2")
         return problem_to_json(poly.discretize(args.grid_points))
     if args.command == "verify-props":
+        _check_grid(args.grid, args.max_states)
         return run_harness(
             instances=args.instances,
             max_actions=args.max_actions,

@@ -60,7 +60,9 @@ class LinearRow:
         return lhs > self.rhs
 
 
-RowLike = Union[LinearRow, tuple]
+# Named by string: typing caches every Union it builds, and a cached class
+# would keep each imported copy of this module alive after it is dropped.
+RowLike = Union["LinearRow", tuple]
 
 
 @dataclass(frozen=True)

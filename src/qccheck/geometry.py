@@ -3,25 +3,25 @@
 Three related views of the same arrangement of affine payoff differences:
 
 * convexity of the optimal-action set at every belief (no belief may make
-  two actions optimal while skipping one strictly between them),
+  two actions optimal while skipping one strictly between them), decided
+  with one LP per pair of actions that has an action between them,
 * the pairwise indifference hyperplanes given by payoff-row differences,
 * the nesting structure of adjacent-comparison halfspaces, under which the
   region where action i beats everything above it is carved out by the
   single comparison against its immediate successor.
 
-All checks are exact strict-feasibility questions over the closed simplex;
-every reported failure belief is re-verified by substitution.
+All checks are exact LPs over the closed simplex; every reported failure
+belief is re-verified by substitution.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, strict_feasible
+from .exactlp import LinearSystem, solve, strict_feasible
 from .problems import Belief, DecisionProblem
 
 
@@ -84,30 +84,38 @@ def check_argmax_convexity(problem: DecisionProblem) -> ConvexityVerdict:
     """Decide whether the optimal-action set is a contiguous index range at
     every belief in the closed simplex.
 
-    For each triple i < j < k the search fixes i and k to be optimal (one
-    equality plus global weak comparisons) and demands that j be strictly
-    worse; the first feasible triple in lexicographic order is reported.
+    One LP per pair i < k with an action between them: on the face where i
+    and k are both optimal (one equality plus global weak comparisons),
+    maximize the sum of the gaps u_i - u_j over the actions j strictly
+    between.  Every gap is nonnegative there, so the optimum is positive
+    exactly when some belief skips a middle action.  The first such pair in
+    lexicographic order is reported, with j the lowest action between i and
+    k that is not optimal at the maximizer.
     """
-    for i, j, k in itertools.combinations(range(problem.num_actions), 3):
-        rows = [(indifference_hyperplane(problem, i, k), "==", 0)]
-        for other in range(problem.num_actions):
-            if other != i:
-                rows.append((indifference_hyperplane(problem, i, other), ">=", 0))
-        rows.append((indifference_hyperplane(problem, i, j), ">", 0))
-        result = strict_feasible(LinearSystem.build(problem.num_states, rows))
-        if result.open_feasible:
+    m = problem.num_actions
+    for i in range(m):
+        optimal_rows = [(indifference_hyperplane(problem, i, other), ">=", 0)
+                        for other in range(m) if other != i]
+        for k in range(i + 2, m):
+            middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
+            rows = [(indifference_hyperplane(problem, i, k), "==", 0)] + optimal_rows
+            objective = [sum(column) for column in zip(*middle)]
+            result = solve(LinearSystem.build(problem.num_states, rows, objective))
+            if not result.is_optimal or result.value <= 0:
+                continue
             belief = result.witness
             assert belief is not None
             optimal = problem.argmax_set(belief)
-            if i not in optimal or k not in optimal or j in optimal:
+            skipped = [j for j in range(i + 1, k) if j not in optimal]
+            if i not in optimal or k not in optimal or not skipped:
                 raise InternalInvariantError(
                     "convexity-counterexample-substitution",
-                    f"belief {belief.coordinates} does not realize the gap "
-                    f"({i}, {j}, {k})",
+                    f"belief {belief.coordinates} does not realize a gap "
+                    f"between {i} and {k}",
                 )
             return ConvexityVerdict(
                 holds=False,
-                counterexample=ConvexityCounterexample(belief, (i, j, k)),
+                counterexample=ConvexityCounterexample(belief, (i, skipped[0], k)),
             )
     return ConvexityVerdict(holds=True, counterexample=None)
 
@@ -124,40 +132,17 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
     structure breaks.
     """
     chain_failures = []
-    for i in range(problem.num_actions - 2):
-        adjacent = indifference_hyperplane(problem, i, i + 1)
-        successor = indifference_hyperplane(problem, i + 1, i + 2)
-        system = LinearSystem.build(
-            problem.num_states,
-            rows=[
-                (adjacent, ">", 0),
-                (tuple(-c for c in successor), ">=", 0),
-            ],
-        )
-        result = strict_feasible(system)
-        if result.open_feasible:
-            belief = result.witness
-            assert belief is not None
-            _verify_pair(problem, belief, adjacent, successor, "nesting-chain")
-            chain_failures.append(NestingFailure(i, belief))
-
     region_failures = []
     for i in range(problem.num_actions - 2):
         adjacent = indifference_hyperplane(problem, i, i + 1)
+        successor = indifference_hyperplane(problem, i + 1, i + 2)
+        belief = _beats_without(problem, adjacent, successor, "nesting-chain")
+        if belief is not None:
+            chain_failures.append(NestingFailure(i, belief))
         for j in range(i + 2, problem.num_actions):
             comparison = indifference_hyperplane(problem, i, j)
-            system = LinearSystem.build(
-                problem.num_states,
-                rows=[
-                    (adjacent, ">", 0),
-                    (tuple(-c for c in comparison), ">=", 0),
-                ],
-            )
-            result = strict_feasible(system)
-            if result.open_feasible:
-                belief = result.witness
-                assert belief is not None
-                _verify_pair(problem, belief, adjacent, comparison, "nesting-region")
+            belief = _beats_without(problem, adjacent, comparison, "nesting-region")
+            if belief is not None:
                 region_failures.append(RegionFailure(i, j, belief))
 
     return NestingReport(
@@ -168,13 +153,23 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
     )
 
 
-def _verify_pair(
+def _beats_without(
     problem: DecisionProblem,
-    belief: Belief,
     positive: tuple[Fraction, ...],
     nonpositive: tuple[Fraction, ...],
     invariant: str,
-) -> None:
+) -> Optional[Belief]:
+    """A belief where `positive` is > 0 and `nonpositive` is <= 0, re-verified
+    by substitution, or None when the simplex has no such belief."""
+    system = LinearSystem.build(
+        problem.num_states,
+        rows=[(positive, ">", 0), (tuple(-c for c in nonpositive), ">=", 0)],
+    )
+    result = strict_feasible(system)
+    if not result.open_feasible:
+        return None
+    belief = result.witness
+    assert belief is not None
     pos = sum((c * p for c, p in zip(positive, belief.coordinates)), Fraction(0))
     neg = sum((c * p for c, p in zip(nonpositive, belief.coordinates)), Fraction(0))
     if not (pos > 0 and neg <= 0):
@@ -183,3 +178,4 @@ def _verify_pair(
             f"belief {belief.coordinates} fails substitution: {pos} > 0 and "
             f"{neg} <= 0 expected",
         )
+    return belief

@@ -212,6 +212,21 @@ class TestExitCodes:
     def test_usage_error_is_input_error(self, capsys):
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{p1}", "--grid", "-3"],
+            ["analyze", "{p1}", "--grid", "2000000"],
+            ["verify-props", "--instances", "1", "--grid", "-3"],
+            ["verify-props", "--instances", "1", "--max-states", "8", "--grid", "1000000"],
+        ],
+    )
+    def test_unusable_grid_is_refused_up_front(self, argv, tmp_path, capsys):
+        path = write_json(tmp_path / "p1.json", P1_DOC)
+        assert main([arg.format(p1=path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert "--grid" in err and len(err.strip().splitlines()) == 1
+
     def test_internal_error_emits_diagnostic_and_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an oracle/solver contradiction by monkeypatching the grid dip
         # finder to hallucinate a witness

@@ -1,6 +1,10 @@
 """Exact simplex solver: hand-checked LPs, witness substitution, and
 differential tests against an independent grid sweep and scipy's solver."""
 
+import gc
+import importlib
+import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -201,3 +205,22 @@ class TestAgainstScipy:
                 assert abs(float(exact.value) - (-res.fun)) < 1e-8
                 compared += 1
         assert compared > 20
+
+
+def _package_modules():
+    return [name for name in sys.modules if name == "qccheck" or name.startswith("qccheck.")]
+
+
+class TestModuleLifetime:
+    def test_dropped_copy_of_the_package_is_collected(self):
+        # a process that re-imports the package (a benchmark taking fresh
+        # set-ups) must not keep every earlier copy alive through a cache
+        saved = {name: sys.modules.pop(name) for name in _package_modules()}
+        try:
+            ref = weakref.ref(importlib.import_module("qccheck.exactlp").LinearRow)
+        finally:
+            for name in _package_modules():
+                del sys.modules[name]
+            sys.modules.update(saved)
+        gc.collect()
+        assert ref() is None

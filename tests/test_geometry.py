@@ -1,18 +1,65 @@
 """Argmax convexity, indifference hyperplanes, and halfspace nesting."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+import qccheck.geometry as geometry
 from qccheck import (
     DecisionProblem,
+    LinearSystem,
+    PolynomialProblem,
     check_argmax_convexity,
     check_nesting,
     check_qcc,
     indifference_hyperplane,
     iterated_elimination,
     random_problem,
+    strict_feasible,
 )
+
+
+def _triple_gap(problem, i, j, k):
+    """Reference per-triple LP: i and k optimal, j strictly worse."""
+    rows = [(indifference_hyperplane(problem, i, k), "==", 0)]
+    for other in range(problem.num_actions):
+        if other != i:
+            rows.append((indifference_hyperplane(problem, i, other), ">=", 0))
+    rows.append((indifference_hyperplane(problem, i, j), ">", 0))
+    return strict_feasible(LinearSystem.build(problem.num_states, rows)).open_feasible
+
+
+def _reference_first_triple(problem):
+    """The per-triple scan: the lexicographically first triple with a gap."""
+    triples = itertools.combinations(range(problem.num_actions), 3)
+    return next((t for t in triples if _triple_gap(problem, *t)), None)
+
+
+def _reference_first_pair(problem):
+    for i, k in itertools.combinations(range(problem.num_actions), 2):
+        if any(_triple_gap(problem, i, j, k) for j in range(i + 1, k)):
+            return i, k
+    return None
+
+
+def _polynomial(*coefficients):
+    states = [f"s{n}" for n in range(len(coefficients))]
+    return PolynomialProblem((F(-1), F(1)), states, coefficients)
+
+
+# the last four seeds skip an action other than i + 1 at the reported belief,
+# and two of them report a different j than the per-triple scan
+CONVEXITY_PROBLEMS = [
+    random_problem(seed=4200 + n, actions=3 + n % 6, states=2 + n % 5, magnitude=8)
+    for n in [*range(56), 111, 131, 185, 322]
+] + [
+    # concave quadratics peaking at different actions: convexity holds
+    _polynomial((0, 2, -3), (1, -1, -2), (0, 0, -1)).discretize(7),
+    # convex quadratics: the point masses make both ends optimal
+    _polynomial((0, 0, 1), (0, 1, 1)).discretize(6),
+    _polynomial((0, -1, 0, 1), (1, 0, 2), (0, 1, -1)).discretize(8),
+]
 
 
 class TestIndifferenceHyperplane:
@@ -61,6 +108,35 @@ class TestArgmaxConvexity:
             )
             if check_qcc(problem).holds:
                 assert check_argmax_convexity(problem).holds
+
+
+    @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS)
+    def test_matches_the_per_triple_scan(self, problem):
+        verdict = check_argmax_convexity(problem)
+        reference = _reference_first_triple(problem)
+        assert verdict.holds == (reference is None)
+        if verdict.holds:
+            return
+        i, j, k = verdict.counterexample.triple
+        assert (i, k) == _reference_first_pair(problem)
+        assert i == reference[0]
+        optimal = problem.argmax_set(verdict.counterexample.belief)
+        assert i in optimal and k in optimal and j not in optimal
+        assert all(between in optimal for between in range(i + 1, j))
+
+    @pytest.mark.parametrize("actions", [3, 4, 6, 9])
+    def test_one_lp_per_pair_with_an_action_between(self, actions, monkeypatch):
+        calls = []
+
+        def counting_solve(system):
+            calls.append(system)
+            return solve(system)
+
+        solve = geometry.solve
+        monkeypatch.setattr(geometry, "solve", counting_solve)
+        problem = _polynomial((0, 0, -1), (0, 1, -1)).discretize(actions)
+        assert check_argmax_convexity(problem).holds
+        assert len(calls) == (actions - 1) * (actions - 2) // 2
 
 
 class TestNesting:
