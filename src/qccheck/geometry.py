@@ -93,7 +93,7 @@ def check_argmax_convexity(problem: DecisionProblem) -> ConvexityVerdict:
     k that is not optimal at the maximizer.
     """
     m = problem.num_actions
-    for i in range(m):
+    for i in range(m - 2):
         optimal_rows = [(indifference_hyperplane(problem, i, other), ">=", 0)
                         for other in range(m) if other != i]
         for k in range(i + 2, m):

@@ -127,12 +127,12 @@ class TestArgmaxConvexity:
     @pytest.mark.parametrize("actions", [3, 4, 6, 9])
     def test_one_lp_per_pair_with_an_action_between(self, actions, monkeypatch):
         calls = []
+        solve = geometry.solve
 
         def counting_solve(system):
             calls.append(system)
             return solve(system)
 
-        solve = geometry.solve
         monkeypatch.setattr(geometry, "solve", counting_solve)
         problem = _polynomial((0, 0, -1), (0, 1, -1)).discretize(actions)
         assert check_argmax_convexity(problem).holds
