@@ -60,15 +60,20 @@ def _parse_rational(value: Any, where: str) -> Fraction:
         raise InputFileError(f"{where}: not a rational: {value!r} ({exc})") from exc
 
 
+def _states(doc: dict) -> tuple[str, ...]:
+    states = doc["states"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise InputFileError("'states' must be a list of strings")
+    return tuple(states)
+
+
 def problem_from_json(doc: Any) -> DecisionProblem:
     if not isinstance(doc, dict):
         raise InputFileError("problem file must be a JSON object")
     for field in ("states", "actions", "payoff"):
         if field not in doc:
             raise InputFileError(f"problem file is missing the {field!r} field")
-    states = doc["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise InputFileError("'states' must be a list of strings")
+    states = _states(doc)
     actions = doc["actions"]
     if not isinstance(actions, list):
         raise InputFileError("'actions' must be a list of rationals")
@@ -85,7 +90,7 @@ def problem_from_json(doc: Any) -> DecisionProblem:
         for i, row in enumerate(payoff)
     )
     try:
-        return DecisionProblem(parsed_actions, tuple(states), parsed_payoff)
+        return DecisionProblem(parsed_actions, states, parsed_payoff)
     except ValueError as exc:
         raise InputFileError(str(exc)) from exc
 
@@ -104,6 +109,7 @@ def polynomial_from_json(doc: Any) -> PolynomialProblem:
     for field in ("interval", "states", "coefficients"):
         if field not in doc:
             raise InputFileError(f"polynomial file is missing the {field!r} field")
+    states = _states(doc)
     interval = doc["interval"]
     if not isinstance(interval, list) or len(interval) != 2:
         raise InputFileError("'interval' must be a [lower, upper] pair")
@@ -121,7 +127,7 @@ def polynomial_from_json(doc: Any) -> PolynomialProblem:
         for j, poly in enumerate(coefficients)
     )
     try:
-        return PolynomialProblem((lo, hi), tuple(doc["states"]), parsed)
+        return PolynomialProblem((lo, hi), states, parsed)
     except ValueError as exc:
         raise InputFileError(str(exc)) from exc
 
@@ -135,13 +141,20 @@ def problem_digest(problem: DecisionProblem) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _input_json(problem: DecisionProblem) -> dict:
+    return {"digest": problem_digest(problem), "problem": problem_to_json(problem)}
+
+
+def _triple_json(belief: Belief, triple: Sequence[int]) -> dict:
+    return {"belief": _belief_json(belief), "triple": list(triple)}
+
+
 def _qcc_json(verdict: QccVerdict) -> dict:
     counterexample = None
     if verdict.counterexample is not None:
         ce = verdict.counterexample
         counterexample = {
-            "belief": _belief_json(ce.belief),
-            "triple": list(ce.triple),
+            **_triple_json(ce.belief, ce.triple),
             "values": [str(v) for v in ce.values],
         }
     return {
@@ -155,7 +168,7 @@ def _convexity_json(verdict: ConvexityVerdict) -> dict:
     counterexample = None
     if verdict.counterexample is not None:
         ce = verdict.counterexample
-        counterexample = {"belief": _belief_json(ce.belief), "triple": list(ce.triple)}
+        counterexample = _triple_json(ce.belief, ce.triple)
     return {"holds": verdict.holds, "counterexample": counterexample}
 
 
@@ -183,6 +196,14 @@ def _lsc_json(verdict: LscVerdict) -> dict:
         "mode": verdict.mode,
         "failing_action": verdict.failing_action,
         "failing_vector": vector,
+    }
+
+
+def _lsc_block(before: DecisionProblem, after: DecisionProblem) -> dict:
+    """Both single-crossing modes, before and after the relabeling."""
+    return {
+        label: {mode: _lsc_json(check_lsc(problem, mode)) for mode in ("relaxed", "literal")}
+        for label, problem in (("before", before), ("after_relabel", after))
     }
 
 
@@ -218,9 +239,10 @@ def _oracle_cross_check(
     qcc_verdict: QccVerdict,
     convexity_verdict: ConvexityVerdict,
     denominator: int,
-) -> dict:
+) -> tuple[Optional[tuple[Belief, tuple[int, int, int]]], ...]:
     """Grid sweep versus the solver verdicts: any grid witness to a failure
-    the solver claims cannot exist is an internal inconsistency."""
+    the solver claims cannot exist is an internal inconsistency.  Returns
+    the grid's first (dip, gap), each None when the grid has none."""
     spec = GridSpec(denominator, problem.num_states)
     dip = find_grid_dip(problem, spec)
     gap = find_grid_gap(problem, spec)
@@ -242,16 +264,7 @@ def _oracle_cross_check(
             raise InternalInvariantError(
                 "oracle-lp-consistency", "solver dip witness is unimodal pointwise"
             )
-    return {
-        "grid_denominator": denominator,
-        "dip": None
-        if dip is None
-        else {"belief": _belief_json(dip[0]), "triple": list(dip[1])},
-        "gap": None
-        if gap is None
-        else {"belief": _belief_json(gap[0]), "triple": list(gap[1])},
-        "consistent": True,
-    }
+    return dip, gap
 
 
 def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict:
@@ -266,29 +279,26 @@ def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict
     relabeling, relabeled = relabel_for_lsc(surviving)
     report = {
         "command": "analyze",
-        "input": {"digest": problem_digest(problem), "problem": problem_to_json(problem)},
+        "input": _input_json(problem),
         "elimination": _elimination_json(elimination),
         "qcc": _qcc_json(qcc_verdict),
         "convexity": _convexity_json(convexity_verdict),
         "equivalence_agreement": qcc_verdict.holds == convexity_verdict.holds,
         "nesting": _nesting_json(nesting),
         "relabeling": _relabeling_json(relabeling),
-        "lsc": {
-            "before": {
-                "relaxed": _lsc_json(check_lsc(surviving, "relaxed")),
-                "literal": _lsc_json(check_lsc(surviving, "literal")),
-            },
-            "after_relabel": {
-                "relaxed": _lsc_json(check_lsc(relabeled, "relaxed")),
-                "literal": _lsc_json(check_lsc(relabeled, "literal")),
-            },
-        },
+        "lsc": _lsc_block(surviving, relabeled),
         "oracle": None,
     }
     if grid_denominator > 0:
-        report["oracle"] = _oracle_cross_check(
+        dip, gap = _oracle_cross_check(
             surviving, qcc_verdict, convexity_verdict, grid_denominator
         )
+        report["oracle"] = {
+            "grid_denominator": grid_denominator,
+            "dip": None if dip is None else _triple_json(*dip),
+            "gap": None if gap is None else _triple_json(*gap),
+            "consistent": True,
+        }
     report["timing"] = {"seconds": time.perf_counter() - start}
     return report
 
@@ -324,102 +334,47 @@ def run_harness(
     halfspace nesting, relabel and re-check single crossing in both modes,
     and (optionally) sweep a belief grid for counterexamples the solver must
     also have found.  The report is deterministic byte-for-byte for a fixed
-    configuration: it contains no timing and no floats.
+    configuration: it contains no timing and no floats.  A violated internal
+    invariant is re-raised with the instance's index, seed and problem digest.
     """
     if instances < 1:
         raise InputFileError("need at least one instance")
     if max_actions < 1 or max_states < 1 or magnitude < 1:
         raise InputFileError("max-actions, max-states, and magnitude must be >= 1")
     records = []
-    summary = {
-        "instances": instances,
-        "prop1_agreements": 0,
-        "prop1_disagreements": 0,
-        "qcc_holding": 0,
-        "prop3_relaxed_successes": 0,
-        "prop3_relaxed_failures": 0,
-        "lsc_literal_divergences": 0,
-        "nesting_failures": 0,
-        "forward_contiguity_violations": 0,
-        "relabel_idempotence_failures": 0,
-        "duality_violations": 0,
-        "witness_soundness_failures": 0,
-    }
     for index, instance_seed, problem in harness_instances(
         seed, instances, max_actions, max_states, magnitude
     ):
-        n_actions, n_states = problem.num_actions, problem.num_states
+        try:
+            record = _harness_record(problem, grid)
+        except InternalInvariantError as exc:
+            raise InternalInvariantError(
+                exc.invariant,
+                f"instance {index} (seed {instance_seed}, problem digest "
+                f"{problem_digest(problem)}): {exc.details}",
+            ) from exc
+        records.append({"index": index, "seed": instance_seed, **record})
 
-        # Exactly one of witness/certificate per action; violations raise.
-        if problem.num_actions >= 2:
-            for action in range(problem.num_actions):
-                mixed_dominance_certificate(problem, action)
-
-        elimination = iterated_elimination(problem)
-        surviving = elimination.surviving
-        qcc_verdict = check_qcc(surviving)
-        convexity_verdict = check_argmax_convexity(surviving)
-        agreement = qcc_verdict.holds == convexity_verdict.holds
-        nesting = check_nesting(surviving)
-        nesting_ok = nesting.chain_holds and nesting.region_identification_holds
-        relabeling, relabeled = relabel_for_lsc(surviving)
-        relaxed = check_lsc(relabeled, "relaxed")
-        literal = check_lsc(relabeled, "literal")
-        again, _ = relabel_for_lsc(relabeled)
-        idempotent = again.permutation == tuple(range(relabeled.num_states))
-
-        record = {
-            "index": index,
-            "seed": instance_seed,
-            "actions": n_actions,
-            "states": n_states,
-            "eliminated": len(elimination.removed),
-            "surviving": surviving.num_actions,
-            "qcc_holds": qcc_verdict.holds,
-            "convexity_holds": convexity_verdict.holds,
-            "prop1_agreement": agreement,
-            "nesting_ok": nesting_ok,
-            "lsc_after_relabel_relaxed": relaxed.holds,
-            "lsc_after_relabel_literal": literal.holds,
-            "relabel_idempotent": idempotent,
-        }
-
-        summary["prop1_agreements" if agreement else "prop1_disagreements"] += 1
-        if not idempotent:
-            summary["relabel_idempotence_failures"] += 1
-        if qcc_verdict.holds:
-            summary["qcc_holding"] += 1
-            if relaxed.holds:
-                summary["prop3_relaxed_successes"] += 1
-            else:
-                summary["prop3_relaxed_failures"] += 1
-            if relaxed.holds and not literal.holds:
-                summary["lsc_literal_divergences"] += 1
-            if not nesting_ok:
-                summary["nesting_failures"] += 1
-
-        if grid > 0:
-            spec = GridSpec(grid, surviving.num_states)
-            dip = find_grid_dip(surviving, spec)
-            gap = find_grid_gap(surviving, spec)
-            if dip is not None and qcc_verdict.holds:
-                raise InternalInvariantError(
-                    "oracle-lp-consistency",
-                    f"instance {index}: grid dip contradicts the unimodality verdict",
-                )
-            if gap is not None and convexity_verdict.holds:
-                raise InternalInvariantError(
-                    "oracle-lp-consistency",
-                    f"instance {index}: grid gap contradicts the convexity verdict",
-                )
-            forward_violation = qcc_verdict.holds and gap is not None
-            record["grid_dip_found"] = dip is not None
-            record["grid_gap_found"] = gap is not None
-            if forward_violation:
-                summary["forward_contiguity_violations"] += 1
-
-        records.append(record)
-
+    qcc_holding = [r for r in records if r["qcc_holds"]]
+    summary = {
+        "instances": instances,
+        "prop1_agreements": sum(r["prop1_agreement"] for r in records),
+        "prop1_disagreements": sum(not r["prop1_agreement"] for r in records),
+        "qcc_holding": len(qcc_holding),
+        "prop3_relaxed_successes": sum(r["lsc_after_relabel_relaxed"] for r in qcc_holding),
+        "prop3_relaxed_failures": sum(not r["lsc_after_relabel_relaxed"] for r in qcc_holding),
+        "lsc_literal_divergences": sum(
+            r["lsc_after_relabel_relaxed"] and not r["lsc_after_relabel_literal"]
+            for r in qcc_holding
+        ),
+        "nesting_failures": sum(not r["nesting_ok"] for r in qcc_holding),
+        "forward_contiguity_violations": sum(
+            r.get("grid_gap_found", False) for r in qcc_holding
+        ),
+        "relabel_idempotence_failures": sum(not r["relabel_idempotent"] for r in records),
+        "duality_violations": 0,
+        "witness_soundness_failures": 0,
+    }
     return {
         "command": "verify-props",
         "config": {
@@ -433,6 +388,47 @@ def run_harness(
         "instances": records,
         "summary": summary,
     }
+
+
+def _harness_record(problem: DecisionProblem, grid: int) -> dict:
+    """Check one harness instance and return its record."""
+    # Exactly one of witness/certificate per action; violations raise.
+    if problem.num_actions >= 2:
+        for action in range(problem.num_actions):
+            mixed_dominance_certificate(problem, action)
+
+    elimination = iterated_elimination(problem)
+    surviving = elimination.surviving
+    qcc_verdict = check_qcc(surviving)
+    convexity_verdict = check_argmax_convexity(surviving)
+    agreement = qcc_verdict.holds == convexity_verdict.holds
+    nesting = check_nesting(surviving)
+    nesting_ok = nesting.chain_holds and nesting.region_identification_holds
+    relabeling, relabeled = relabel_for_lsc(surviving)
+    relaxed = check_lsc(relabeled, "relaxed")
+    literal = check_lsc(relabeled, "literal")
+    again, _ = relabel_for_lsc(relabeled)
+    idempotent = again.permutation == tuple(range(relabeled.num_states))
+
+    record = {
+        "actions": problem.num_actions,
+        "states": problem.num_states,
+        "eliminated": len(elimination.removed),
+        "surviving": surviving.num_actions,
+        "qcc_holds": qcc_verdict.holds,
+        "convexity_holds": convexity_verdict.holds,
+        "prop1_agreement": agreement,
+        "nesting_ok": nesting_ok,
+        "lsc_after_relabel_relaxed": relaxed.holds,
+        "lsc_after_relabel_literal": literal.holds,
+        "relabel_idempotent": idempotent,
+    }
+
+    if grid > 0:
+        dip, gap = _oracle_cross_check(surviving, qcc_verdict, convexity_verdict, grid)
+        record["grid_dip_found"] = dip is not None
+        record["grid_gap_found"] = gap is not None
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +445,8 @@ def _load_json(path: str) -> Any:
         raise InputFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-
-
-def _load_problem(path: str) -> DecisionProblem:
-    return problem_from_json(_load_json(path))
+    except ValueError as exc:  # e.g. an integer literal beyond Python's digit limit
+        raise InputFileError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def _write_report(doc: dict, out: Optional[str]) -> None:
@@ -463,8 +457,39 @@ def _write_report(doc: dict, out: Optional[str]) -> None:
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(out):
         out = os.path.join(out_dir, out)
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise InputFileError(f"cannot write {out}: {exc}") from exc
+
+
+def _relabel_sections(problem: DecisionProblem) -> dict:
+    relabeling, relabeled = relabel_for_lsc(problem)
+    return {
+        "relabeling": _relabeling_json(relabeling),
+        "relabeled_problem": problem_to_json(relabeled),
+        "lsc": _lsc_block(problem, relabeled),
+    }
+
+
+# Commands that run one stage on one problem file, without elimination:
+# name -> (help, report sections built from the problem).
+_PROBLEM_COMMANDS = {
+    "check-qcc": (
+        "whole-simplex unimodality only",
+        lambda problem: {"qcc": _qcc_json(check_qcc(problem))},
+    ),
+    "check-convexity": (
+        "optimal-action convexity only",
+        lambda problem: {"convexity": _convexity_json(check_argmax_convexity(problem))},
+    ),
+    "eliminate": (
+        "iterated weak-dominance elimination",
+        lambda problem: {"elimination": _elimination_json(iterated_elimination(problem))},
+    ),
+    "relabel": ("state relabeling and single-crossing checks", _relabel_sections),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -489,21 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against the belief grid with denominator D")
     add_out(p)
 
-    p = sub.add_parser("check-qcc", help="whole-simplex unimodality only")
-    p.add_argument("file")
-    add_out(p)
-
-    p = sub.add_parser("check-convexity", help="optimal-action convexity only")
-    p.add_argument("file")
-    add_out(p)
-
-    p = sub.add_parser("eliminate", help="iterated weak-dominance elimination")
-    p.add_argument("file")
-    add_out(p)
-
-    p = sub.add_parser("relabel", help="state relabeling and single-crossing checks")
-    p.add_argument("file")
-    add_out(p)
+    for name, (help_text, _) in _PROBLEM_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        add_out(p)
 
     p = sub.add_parser("discretize", help="grid a polynomial problem into a problem file")
     p.add_argument("polyfile")
@@ -536,78 +550,7 @@ def _check_grid(denominator: int, states: int) -> None:
             )
 
 
-def _timed(builder) -> dict:
-    start = time.perf_counter()
-    doc = builder()
-    doc["timing"] = {"seconds": time.perf_counter() - start}
-    return doc
-
-
 def _dispatch(args: argparse.Namespace) -> dict:
-    if args.command == "analyze":
-        problem = _load_problem(args.file)
-        _check_grid(args.grid, problem.num_states)
-        return analyze_problem(problem, args.grid)
-    if args.command == "check-qcc":
-        problem = _load_problem(args.file)
-
-        def build() -> dict:
-            return {
-                "command": "check-qcc",
-                "input": {"digest": problem_digest(problem),
-                          "problem": problem_to_json(problem)},
-                "qcc": _qcc_json(check_qcc(problem)),
-            }
-
-        return _timed(build)
-    if args.command == "check-convexity":
-        problem = _load_problem(args.file)
-
-        def build() -> dict:
-            return {
-                "command": "check-convexity",
-                "input": {"digest": problem_digest(problem),
-                          "problem": problem_to_json(problem)},
-                "convexity": _convexity_json(check_argmax_convexity(problem)),
-            }
-
-        return _timed(build)
-    if args.command == "eliminate":
-        problem = _load_problem(args.file)
-
-        def build() -> dict:
-            return {
-                "command": "eliminate",
-                "input": {"digest": problem_digest(problem),
-                          "problem": problem_to_json(problem)},
-                "elimination": _elimination_json(iterated_elimination(problem)),
-            }
-
-        return _timed(build)
-    if args.command == "relabel":
-        problem = _load_problem(args.file)
-
-        def build() -> dict:
-            relabeling, relabeled = relabel_for_lsc(problem)
-            return {
-                "command": "relabel",
-                "input": {"digest": problem_digest(problem),
-                          "problem": problem_to_json(problem)},
-                "relabeling": _relabeling_json(relabeling),
-                "relabeled_problem": problem_to_json(relabeled),
-                "lsc": {
-                    "before": {
-                        "relaxed": _lsc_json(check_lsc(problem, "relaxed")),
-                        "literal": _lsc_json(check_lsc(problem, "literal")),
-                    },
-                    "after_relabel": {
-                        "relaxed": _lsc_json(check_lsc(relabeled, "relaxed")),
-                        "literal": _lsc_json(check_lsc(relabeled, "literal")),
-                    },
-                },
-            }
-
-        return _timed(build)
     if args.command == "discretize":
         poly = polynomial_from_json(_load_json(args.polyfile))
         if args.grid_points < 2:
@@ -623,13 +566,21 @@ def _dispatch(args: argparse.Namespace) -> dict:
             seed=args.seed,
             grid=args.grid,
         )
-    raise InputFileError(f"unknown command {args.command!r}")
+    problem = problem_from_json(_load_json(args.file))
+    if args.command == "analyze":
+        _check_grid(args.grid, problem.num_states)
+        return analyze_problem(problem, args.grid)
+    start = time.perf_counter()
+    _, sections = _PROBLEM_COMMANDS[args.command]
+    report = {"command": args.command, "input": _input_json(problem), **sections(problem)}
+    report["timing"] = {"seconds": time.perf_counter() - start}
+    return report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        report = _dispatch(args)
+        _write_report(_dispatch(args), args.out)
     except InputFileError as exc:
         print(f"qccheck: input error: {exc}", file=sys.stderr)
         return 1
@@ -641,7 +592,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         print(json.dumps(diagnostic, indent=2))
         return 2
-    _write_report(report, getattr(args, "out", None))
     return 0
 
 

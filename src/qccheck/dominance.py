@@ -100,6 +100,15 @@ def mixed_dominance_certificate(
     unique-optimality LP are always run; by exact duality exactly one of them
     can succeed, and disagreement raises an internal error.
     """
+    return _duality_check(problem, action_index)[0]
+
+
+def _duality_check(
+    problem: DecisionProblem, action_index: int
+) -> tuple[Optional[tuple[Fraction, ...]], Optional[Belief]]:
+    """Both sides of one action's dominance duality, each solved by its own
+    LP: (dominating mixture weights, None) or (None, unique-optimality
+    witness).  Disagreement between the two LPs raises."""
     problem._check_action(action_index)
     if problem.num_actions < 2:
         raise ValueError("mixed dominance needs at least two actions")
@@ -120,13 +129,13 @@ def mixed_dominance_certificate(
             f"witness {'exists' if witness is not None else 'absent'}",
         )
     if not result.is_optimal:
-        return None
+        return None, witness
     assert result.witness is not None
     weights = [Fraction(0)] * problem.num_actions
     for j, w in zip(others, result.witness.coordinates):
         weights[j] = w
     _verify_mixture(problem, action_index, tuple(weights))
-    return tuple(weights)
+    return tuple(weights), None
 
 
 def _verify_mixture(
@@ -153,9 +162,14 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
 
     Duplicate payoff rows are collapsed first (lowest index kept); then the
     lowest-index action with a dominating mixture over the current survivors
-    is removed, repeatedly, until none remains.  Every survivor must then
-    admit an interior unique-optimality witness; failure to certify one is an
-    internal error because it contradicts the dominance duality.
+    is removed, repeatedly, until none remains.  Each distinct action's
+    dominance question is solved once: a unique-optimality witness stays one
+    when other actions are removed, so the actions before a removal stay
+    undominated and the scan resumes at the removal point.  A survivor's
+    witness may therefore have been found while more actions were active;
+    every witness is re-verified by substitution on the surviving problem,
+    and a failure is an internal error because it contradicts the dominance
+    duality.
     """
     removed: list[RemovedAction] = []
 
@@ -170,28 +184,30 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
             seen[row] = i
             active.append(i)
 
-    while len(active) > 1:
-        sub = problem.restrict_actions(active)
-        for position, original in enumerate(active):
-            weights = mixed_dominance_certificate(sub, position)
-            if weights is not None:
-                mixture = tuple(
-                    (active[j], w) for j, w in enumerate(weights) if w != 0
-                )
-                removed.append(RemovedAction(original, "mixed-dominated", mixture))
-                del active[position]
-                break
-        else:
-            break
-
+    found: dict[int, Belief] = {}
     surviving = problem.restrict_actions(active)
+    position = 0
+    while 1 < len(active) and position < len(active):
+        weights, witness = _duality_check(surviving, position)
+        if weights is None:
+            found[active[position]] = witness
+            position += 1
+            continue
+        mixture = tuple((active[j], w) for j, w in enumerate(weights) if w != 0)
+        removed.append(RemovedAction(active[position], "mixed-dominated", mixture))
+        del active[position]
+        surviving = problem.restrict_actions(active)
+
     witnesses = []
-    for position in range(surviving.num_actions):
-        witness = unique_optimality_witness(surviving, position)
-        if witness is None:
+    for position, original in enumerate(active):
+        witness = found.get(original)
+        if witness is None:  # a lone survivor the scan never reached
+            witness = unique_optimality_witness(surviving, position)
+        if (witness is None or not witness.is_interior
+                or surviving.argmax_set(witness) != {position}):
             raise InternalInvariantError(
                 "post-elimination-certification",
-                f"surviving action {active[position]} has no interior "
+                f"surviving action {original} has no interior "
                 "unique-optimality witness",
             )
         witnesses.append(witness)

@@ -74,7 +74,28 @@ def _integer_payoff(problem: DecisionProblem) -> list[list[int]]:
     return [[int(value * scale) for value in row] for row in problem.payoff]
 
 
+def _grid_search(problem: DecisionProblem, spec: GridSpec, first_triple):
+    """Walk the grid in `grid_beliefs` order and return the first belief at
+    which `first_triple` finds a triple in the integer payoff profile."""
+    if spec.dimension != problem.num_states:
+        raise ValueError("grid dimension does not match the state count")
+    scaled = _integer_payoff(problem)
+    for numerators in _compositions(spec.denominator, spec.dimension):
+        values = [
+            sum(m * u for m, u in zip(numerators, row)) for row in scaled
+        ]
+        triple = first_triple(values)
+        if triple is not None:
+            belief = Belief(
+                tuple(Fraction(m, spec.denominator) for m in numerators)
+            )
+            return belief, triple
+    return None
+
+
 def _first_dip_triple(values: list[int]) -> Optional[tuple[int, int, int]]:
+    if is_unimodal(values):  # O(m) screen before the O(m^3) search
+        return None
     for i in range(len(values) - 2):
         for j in range(i + 1, len(values) - 1):
             if values[j] >= values[i]:
@@ -82,57 +103,14 @@ def _first_dip_triple(values: list[int]) -> Optional[tuple[int, int, int]]:
             for k in range(j + 1, len(values)):
                 if values[j] < values[k]:
                     return i, j, k
-    return None
+    raise AssertionError(f"no dip triple in the non-unimodal profile {values}")
 
 
-def find_grid_dip(
-    problem: DecisionProblem, spec: GridSpec
-) -> Optional[tuple[Belief, tuple[int, int, int]]]:
-    """First grid belief whose payoff sequence has a strict dip, with the
-    lexicographically first witnessing triple; None if the grid has none."""
-    if spec.dimension != problem.num_states:
-        raise ValueError("grid dimension does not match the state count")
-    scaled = _integer_payoff(problem)
-    for numerators in _compositions(spec.denominator, spec.dimension):
-        values = [
-            sum(m * u for m, u in zip(numerators, row)) for row in scaled
-        ]
-        if not is_unimodal(values):
-            triple = _first_dip_triple(values)
-            assert triple is not None
-            belief = Belief(
-                tuple(Fraction(m, spec.denominator) for m in numerators)
-            )
-            return belief, triple
-    return None
-
-
-def find_grid_gap(
-    problem: DecisionProblem, spec: GridSpec
-) -> Optional[tuple[Belief, tuple[int, int, int]]]:
-    """First grid belief whose optimal-action set is non-contiguous, with the
-    lexicographically first (optimal, skipped, optimal) triple."""
-    if spec.dimension != problem.num_states:
-        raise ValueError("grid dimension does not match the state count")
-    scaled = _integer_payoff(problem)
-    for numerators in _compositions(spec.denominator, spec.dimension):
-        values = [
-            sum(m * u for m, u in zip(numerators, row)) for row in scaled
-        ]
-        best = max(values)
-        optimal = [i for i, v in enumerate(values) if v == best]
-        if not is_contiguous(optimal, len(values)):
-            triple = _first_gap_triple(values, best)
-            assert triple is not None
-            belief = Belief(
-                tuple(Fraction(m, spec.denominator) for m in numerators)
-            )
-            return belief, triple
-    return None
-
-
-def _first_gap_triple(values: list[int], best: int) -> Optional[tuple[int, int, int]]:
+def _first_gap_triple(values: list[int]) -> Optional[tuple[int, int, int]]:
+    best = max(values)
     n = len(values)
+    if is_contiguous([i for i, v in enumerate(values) if v == best], n):
+        return None
     for i in range(n - 2):
         if values[i] != best:
             continue
@@ -142,7 +120,23 @@ def _first_gap_triple(values: list[int], best: int) -> Optional[tuple[int, int, 
             for k in range(j + 1, n):
                 if values[k] == best:
                     return i, j, k
-    return None
+    raise AssertionError(f"no gap triple in the non-contiguous profile {values}")
+
+
+def find_grid_dip(
+    problem: DecisionProblem, spec: GridSpec
+) -> Optional[tuple[Belief, tuple[int, int, int]]]:
+    """First grid belief whose payoff sequence has a strict dip, with the
+    lexicographically first witnessing triple; None if the grid has none."""
+    return _grid_search(problem, spec, _first_dip_triple)
+
+
+def find_grid_gap(
+    problem: DecisionProblem, spec: GridSpec
+) -> Optional[tuple[Belief, tuple[int, int, int]]]:
+    """First grid belief whose optimal-action set is non-contiguous, with the
+    lexicographically first (optimal, skipped, optimal) triple."""
+    return _grid_search(problem, spec, _first_gap_triple)
 
 
 def exact_check_two_state(problem: DecisionProblem) -> tuple[bool, bool]:

@@ -1,16 +1,20 @@
 """File formats, commands, exit codes, and report stability."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import qccheck.cli as cli_module
 from qccheck import Belief, unimodality_profile
 from qccheck.cli import (
     InputFileError,
     analyze_problem,
+    harness_instances,
     main,
     problem_digest,
     problem_from_json,
@@ -227,6 +231,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--grid" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (json.dumps({**POLY_DOC, "states": 3}), ["discretize", "{path}", "--grid-points", "3"]),
+            (json.dumps({**POLY_DOC, "states": "ab"}),
+             ["discretize", "{path}", "--grid-points", "3"]),
+            ('{"states": ["a"], "actions": [0], "payoff": [[' + "9" * 5000 + "]]}",
+             ["check-qcc", "{path}"]),
+            (json.dumps(P1_DOC), ["check-qcc", "{path}", "--out", "{tmp}/missing/dir/x.json"]),
+        ],
+        ids=["int-states", "string-states", "5000-digit-integer", "out-in-missing-dir"],
+    )
+    def test_unusable_file_is_one_line_input_error(self, text, argv, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([arg.format(path=path, tmp=tmp_path) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qccheck: input error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_internal_error_emits_diagnostic_and_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an oracle/solver contradiction by monkeypatching the grid dip
         # finder to hallucinate a witness
@@ -241,6 +266,24 @@ class TestExitCodes:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic["error"] == "internal-invariant-violation"
         assert diagnostic["invariant"] == "oracle-lp-consistency"
+
+    def test_harness_diagnostic_names_the_instance(self, capsys, monkeypatch):
+        # one action and one instance: qcc holds vacuously, so a hallucinated
+        # grid dip contradicts it
+        def fake_dip(problem, spec):
+            return Belief.uniform(problem.num_states), (0, 1, 2)
+
+        monkeypatch.setattr(cli_module, "find_grid_dip", fake_dip)
+        argv = ["verify-props", "--instances", "1", "--max-actions", "1", "--grid", "2"]
+        assert main(argv) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["invariant"] == "oracle-lp-consistency"
+        [(index, seed, problem)] = harness_instances(0, 1, 1, 4, 10)
+        details = diagnostic["details"]
+        assert f"instance {index} " in details
+        assert f"seed {seed}" in details
+        assert problem_digest(problem) in details
+        assert "grid dip" in details
 
     def test_console_script_entry_point(self, tmp_path):
         path = write_json(tmp_path / "p1.json", P1_DOC)
@@ -283,3 +326,17 @@ class TestHarnessStability:
         qcc_records = [r for r in doc["instances"] if r["qcc_holds"]]
         assert len(qcc_records) == summary["qcc_holding"]
         assert all(r["prop1_agreement"] for r in doc["instances"])
+
+
+class TestTracedBenchmarkSites:
+    def test_every_traced_cli_name_exists(self):
+        # bench/run.py --trace 1 wraps these names in qccheck.cli by attribute
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        missing = [
+            name for name in {**tracing.CLI_SITES, **tracing.TOP_SITES}
+            if not hasattr(cli_module, name)
+        ]
+        assert missing == []

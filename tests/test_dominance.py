@@ -7,6 +7,7 @@ import pytest
 from qccheck import (
     DecisionProblem,
     GridSpec,
+    PolynomialProblem,
     grid_beliefs,
     iterated_elimination,
     mixed_dominance_certificate,
@@ -130,3 +131,95 @@ class TestIteratedElimination:
             for belief in grid_beliefs(GridSpec(6, problem.num_states)):
                 values = problem.payoff_profile(belief)
                 assert max(values) == max(values[i] for i in survivors)
+
+
+def restart_elimination(problem):
+    """Reference scan: after every removal, start again at the lowest index.
+
+    Returns the surviving original indices and each removal as
+    (original_index, reason, mixture)."""
+    removed = []
+    seen = {}
+    active = []
+    for i, row in enumerate(problem.payoff):
+        if row in seen:
+            removed.append((i, "duplicate", ((seen[row], F(1)),)))
+        else:
+            seen[row] = i
+            active.append(i)
+    while len(active) > 1:
+        sub = problem.restrict_actions(active)
+        for position, original in enumerate(active):
+            weights = mixed_dominance_certificate(sub, position)
+            if weights is not None:
+                mixture = tuple((active[j], w) for j, w in enumerate(weights) if w != 0)
+                removed.append((original, "mixed-dominated", mixture))
+                del active[position]
+                break
+        else:
+            break
+    return tuple(active), removed
+
+
+class TestResumedScan:
+    def test_matches_restart_scan_and_witnesses_substitute(self):
+        reasons = []
+        for seed in range(60):
+            problem = random_problem(
+                seed=4100 + seed, actions=2 + seed % 6, states=1 + seed % 4, magnitude=1 + seed % 3
+            )
+            report = iterated_elimination(problem)
+            survivors, removals = restart_elimination(problem)
+            assert report.surviving_indices == survivors
+            assert [
+                (r.original_index, r.reason, r.mixture) for r in report.removed
+            ] == removals
+            assert report.surviving == problem.restrict_actions(survivors)
+            for position, witness in enumerate(report.witnesses):
+                assert witness.is_interior
+                assert report.surviving.argmax_set(witness) == {position}
+            reasons += [reason for _, reason, _ in removals]
+        # the seeds exercise both kinds of removal
+        assert reasons.count("duplicate") >= 5
+        assert reasons.count("mixed-dominated") >= 20
+
+
+class TestEliminationLpCount:
+    @staticmethod
+    def count_lps(problem, monkeypatch):
+        import qccheck.dominance as dominance
+
+        calls = []
+        for name in ("solve", "strict_feasible"):
+            original = getattr(dominance, name)
+
+            def counted(system, _original=original):
+                calls.append(system)
+                return _original(system)
+
+            monkeypatch.setattr(dominance, name, counted)
+        report = iterated_elimination(problem)
+        return report, len(calls)
+
+    @pytest.mark.parametrize("actions", [3, 5, 8])
+    def test_two_lps_per_action_when_nothing_is_removed(self, actions, monkeypatch):
+        # concave in the action at every belief: each grid action is
+        # uniquely optimal where the belief puts the peak on it
+        poly = PolynomialProblem(
+            (F(0), F(2)), ("low", "high"), ((F(0), F(0), F(-1)), (F(-4), F(4), F(-1)))
+        )
+        report, lps = self.count_lps(poly.discretize(actions), monkeypatch)
+        assert report.removed == ()
+        assert lps == 2 * actions
+
+    @pytest.mark.parametrize(
+        "matrix, lps",
+        [
+            ([[3, -3, 0]], 1),  # one action: only its witness LP
+            ([[0, 0], [1, 1]], 3),  # the survivor is never scanned
+        ],
+    )
+    def test_lone_survivor_gets_one_witness_lp(self, matrix, lps, monkeypatch):
+        report, count = self.count_lps(DecisionProblem.from_matrix(matrix), monkeypatch)
+        assert len(report.witnesses) == 1
+        assert count == lps
