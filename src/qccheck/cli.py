@@ -14,7 +14,6 @@ machine-readable diagnostic naming the invariant).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -137,6 +136,10 @@ def _belief_json(belief: Belief) -> list[str]:
 
 
 def problem_digest(problem: DecisionProblem) -> str:
+    # Imported here: hashlib loads OpenSSL, and `verify-props` needs a digest
+    # only on its exit-2 path.
+    import hashlib
+
     canonical = json.dumps(problem_to_json(problem), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -336,6 +339,9 @@ def run_harness(
     also have found.  The report is deterministic byte-for-byte for a fixed
     configuration: it contains no timing and no floats.  A violated internal
     invariant is re-raised with the instance's index, seed and problem digest.
+    The summary's `duality_violations` and `witness_soundness_failures`
+    therefore always read 0: such a violation ends the run with exit 2
+    instead of being counted.  They stay to keep the report's bytes stable.
     """
     if instances < 1:
         raise InputFileError("need at least one instance")
@@ -449,14 +455,34 @@ def _load_json(path: str) -> Any:
         raise InputFileError(f"{path}: unreadable JSON: {exc}") from exc
 
 
+def _out_path(out: str) -> str:
+    """Where `--out` writes: a relative path goes under `$QCCHECK_OUT_DIR`
+    when that is set."""
+    out_dir = os.environ.get(OUT_DIR_ENV)
+    if out_dir and not os.path.isabs(out):
+        return os.path.join(out_dir, out)
+    return out
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an `--out` whose directory is missing or not writable, before
+    any work."""
+    if out is None:
+        return
+    path = _out_path(out)
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise InputFileError(f"cannot write {path}: no directory {directory}")
+    if not os.access(directory, os.W_OK):
+        raise InputFileError(f"cannot write {path}: directory {directory} is not writable")
+
+
 def _write_report(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, indent=2)
     if out is None:
         print(text)
         return
-    out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir and not os.path.isabs(out):
-        out = os.path.join(out_dir, out)
+    out = _out_path(out)
     try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -580,6 +606,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         _write_report(_dispatch(args), args.out)
     except InputFileError as exc:
         print(f"qccheck: input error: {exc}", file=sys.stderr)

@@ -3,9 +3,13 @@
 An action is redundant when some mixture of the other actions matches or
 beats it in every state; it is essential when some interior belief makes it
 the unique optimizer.  These two conditions are mutually exclusive and
-jointly exhaustive (an exact minimax fact), and both sides are computed
-independently here: any disagreement is raised as an internal error rather
-than papered over.
+jointly exhaustive (Gordan 1873; Farkas 1902), so one LP decides both: the
+mixture LP either returns a dominating mixture, or its Farkas certificate of
+infeasibility, normalized, is a belief where the action is uniquely optimal;
+an exact step toward the uniform belief makes that belief interior.  Each
+side is re-verified by substitution, and either one excludes the other.
+`unique_optimality_witness` keeps its own strict LP, an independent route
+to the same answer that the acceptance tests compare against.
 
 `iterated_elimination` removes duplicates and then mixture-dominated actions
 until every survivor carries an interior unique-optimality witness, which
@@ -96,9 +100,10 @@ def mixed_dominance_certificate(
 
     Returns a weight vector aligned with the problem's actions (the target's
     own weight is 0) whose mixture payoff matches or exceeds the target's in
-    every state, or None when no such mixture exists.  Both this LP and the
-    unique-optimality LP are always run; by exact duality exactly one of them
-    can succeed, and disagreement raises an internal error.
+    every state, or None when no such mixture exists.  One LP decides it:
+    when no mixture exists, its Farkas certificate is turned into an
+    interior belief where the action is uniquely optimal, and that belief is
+    re-verified by substitution, so an absent mixture is certified too.
     """
     return _duality_check(problem, action_index)[0]
 
@@ -106,9 +111,9 @@ def mixed_dominance_certificate(
 def _duality_check(
     problem: DecisionProblem, action_index: int
 ) -> tuple[Optional[tuple[Fraction, ...]], Optional[Belief]]:
-    """Both sides of one action's dominance duality, each solved by its own
-    LP: (dominating mixture weights, None) or (None, unique-optimality
-    witness).  Disagreement between the two LPs raises."""
+    """Both sides of one action's dominance duality from the mixture LP:
+    (dominating mixture weights, None), or (None, an interior belief where
+    the action is uniquely optimal) read off the LP's Farkas certificate."""
     problem._check_action(action_index)
     if problem.num_actions < 2:
         raise ValueError("mixed dominance needs at least two actions")
@@ -119,23 +124,51 @@ def _duality_check(
         coeffs = tuple(problem.payoff[j][state] for j in others)
         rows.append((coeffs, ">=", target[state]))
     result = solve(LinearSystem.build(len(others), rows))
-
-    witness = unique_optimality_witness(problem, action_index)
-    if result.is_optimal == (witness is not None):
-        raise InternalInvariantError(
-            "dominance-duality",
-            f"action {action_index}: dominating mixture "
-            f"{'exists' if result.is_optimal else 'absent'} but unique-optimality "
-            f"witness {'exists' if witness is not None else 'absent'}",
-        )
     if not result.is_optimal:
-        return None, witness
+        assert result.farkas is not None
+        return None, _interior_witness(problem, action_index, result.farkas)
     assert result.witness is not None
     weights = [Fraction(0)] * problem.num_actions
     for j, w in zip(others, result.witness.coordinates):
         weights[j] = w
     _verify_mixture(problem, action_index, tuple(weights))
     return tuple(weights), None
+
+
+def _interior_witness(
+    problem: DecisionProblem, action_index: int, farkas: tuple[Fraction, ...]
+) -> Belief:
+    """Turn the mixture LP's Farkas certificate into an interior belief where
+    the action is the only optimal one.
+
+    The certificate, normalized, is a belief p with p.u_i > p.u_j for every
+    other action j.  With g_j = p.(u_i - u_j) and d_j = uniform.(u_i - u_j),
+    q = (1 - e) p + e uniform keeps every margin (1 - e) g_j + e d_j
+    positive for e = min(1/2, min over d_j < 0 of g_j / (2 (g_j - d_j))).
+    """
+    total = sum(farkas, Fraction(0))
+    p = Belief(tuple(lam / total for lam in farkas))
+    uniform = Belief.uniform(problem.num_states)
+    at_p = problem.payoff_profile(p)
+    at_uniform = problem.payoff_profile(uniform)
+    epsilon = Fraction(1, 2)
+    for j in range(problem.num_actions):
+        g = at_p[action_index] - at_p[j]
+        d = at_uniform[action_index] - at_uniform[j]
+        if d < 0:
+            epsilon = min(epsilon, g / (2 * (g - d)))
+    witness = Belief(tuple(
+        (1 - epsilon) * a + epsilon * b
+        for a, b in zip(p.coordinates, uniform.coordinates)
+    ))
+    if not witness.is_interior or problem.argmax_set(witness) != {action_index}:
+        raise InternalInvariantError(
+            "dominance-duality",
+            f"action {action_index}: no dominating mixture, but the belief "
+            f"{witness.coordinates} from its Farkas certificate does not make "
+            "it uniquely optimal in the interior",
+        )
+    return witness
 
 
 def _verify_mixture(
@@ -200,10 +233,10 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
 
     witnesses = []
     for position, original in enumerate(active):
-        witness = found.get(original)
-        if witness is None:  # a lone survivor the scan never reached
-            witness = unique_optimality_witness(surviving, position)
-        if (witness is None or not witness.is_interior
+        # A lone survivor the scan never reached is the only action, so it
+        # is uniquely optimal everywhere; the uniform belief is interior.
+        witness = found.get(original, Belief.uniform(problem.num_states))
+        if (not witness.is_interior
                 or surviving.argmax_set(witness) != {position}):
             raise InternalInvariantError(
                 "post-elimination-certification",

@@ -8,6 +8,14 @@ Bland's rule, so there are no tolerances anywhere: Infeasible means exactly
 infeasible, and every witness satisfies its system under exact substitution
 (this is re-verified before a result is returned).
 
+An infeasible weak system comes with a Farkas certificate read off the
+final phase-1 tableau: multipliers lambda, one per row and nonnegative on
+`>=` rows, with max_k sum_r lambda_r c_r[k] < sum_r lambda_r rhs_r.  Every
+belief x would give sum_r lambda_r c_r.x >= sum_r lambda_r rhs_r, while a
+probability vector keeps the left side at most that maximum, so no belief
+satisfies the rows (Farkas 1902).  The certificate, too, is re-verified by
+substitution before it is returned.
+
 Strict inequalities are decided by slack maximization: each row c.x > r is
 rewritten as c.x >= r + t for a fresh variable t bounded by 1, and t is
 maximized.  The open system has a solution over the simplex if and only if
@@ -130,13 +138,16 @@ class LPResult:
 
     For strict systems, `slack` holds the maximized margin t*; the open
     system is feasible exactly when t* > 0, and `witness` is present only in
-    that case.
+    that case.  When `solve` finds a weak system infeasible, `farkas` holds
+    the row multipliers that certify it (see the module docstring), aligned
+    with the system's rows; it is None otherwise.
     """
 
     status: LPStatus
     value: Optional[Fraction] = None
     witness: Optional[Belief] = None
     slack: Optional[Fraction] = None
+    farkas: Optional[tuple[Fraction, ...]] = None
 
     @property
     def is_optimal(self) -> bool:
@@ -201,10 +212,12 @@ def _solve_standard_form(
     eq_rows: Sequence[Sequence[Fraction]],
     eq_rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
-) -> Optional[tuple[Fraction, list[Fraction]]]:
+) -> tuple[Optional[Fraction], list[Fraction]]:
     """Maximize objective . x subject to eq_rows . x = eq_rhs, x >= 0.
 
-    Returns (optimal value, solution vector) or None when infeasible.
+    Returns (optimal value, solution vector), or (None, y) when infeasible:
+    y is the phase-1 Farkas ray, one entry per row, with y . eq_rows >= 0
+    in every column and y . eq_rhs < 0.
     """
     num_real = len(objective)
     m = len(eq_rows)
@@ -226,7 +239,12 @@ def _solve_standard_form(
     zrow[-1] = -sum(tableau[i][-1] for i in range(m))
     _bland_maximize(tableau, zrow, basis, num_real)
     if zrow[-1] != 0:
-        return None
+        # zrow over artificial r is y_r + 1 for the phase-1 multipliers y of
+        # the stored rows; rows negated on entry flip back.
+        return None, [
+            (_ONE - zrow[num_real + r]) if eq_rhs[r] < 0 else (zrow[num_real + r] - _ONE)
+            for r in range(m)
+        ]
 
     # Drive any residual degenerate artificials out of the basis; a row with
     # no real-column pivot available is redundant and dropped.
@@ -316,7 +334,8 @@ def solve(system: LinearSystem) -> LPResult:
 
     The system may not contain strict rows and may not require interiority;
     use `strict_feasible` for those.  On success the witness satisfies every
-    row exactly (checked by substitution before returning).
+    row exactly; on infeasibility the `farkas` multipliers certify it.  Both
+    are checked by substitution before returning.
     """
     if system.has_strict_rows or system.interior_required:
         raise ValueError("system has strict requirements; use strict_feasible")
@@ -324,10 +343,11 @@ def solve(system: LinearSystem) -> LPResult:
     objective = [_ZERO] * num_vars
     if system.objective is not None:
         objective[: system.dimension] = list(system.objective)
-    outcome = _solve_standard_form(eq_rows, rhs, objective)
-    if outcome is None:
-        return LPResult(LPStatus.INFEASIBLE)
-    value, x = outcome
+    value, x = _solve_standard_form(eq_rows, rhs, objective)
+    if value is None:
+        farkas = tuple(-y for y in x[1:])  # row 0 is the simplex itself
+        _verify_farkas(system, farkas)
+        return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
     witness = Belief(tuple(x[: system.dimension]))
     _verify_witness(system, witness, strict_must_hold=False)
     if system.objective is not None:
@@ -354,10 +374,9 @@ def strict_feasible(system: LinearSystem) -> LPResult:
     eq_rows, rhs, num_vars = _assemble(system, include_t=True)
     objective = [_ZERO] * num_vars
     objective[system.dimension] = _ONE  # maximize the shared margin t
-    outcome = _solve_standard_form(eq_rows, rhs, objective)
-    if outcome is None:
+    t_star, x = _solve_standard_form(eq_rows, rhs, objective)
+    if t_star is None:
         return LPResult(LPStatus.INFEASIBLE)
-    t_star, x = outcome
     if t_star <= 0:
         return LPResult(LPStatus.OPTIMAL, value=t_star, slack=t_star)
     witness = Belief(tuple(x[: system.dimension]))
@@ -379,4 +398,23 @@ def _verify_witness(system: LinearSystem, witness: Belief, strict_must_hold: boo
     if strict_must_hold and system.interior_required and not witness.is_interior:
         raise InternalInvariantError(
             "lp-witness-interior", f"witness {witness.coordinates} is not interior"
+        )
+
+
+def _verify_farkas(system: LinearSystem, farkas: tuple[Fraction, ...]) -> None:
+    """Exact substitution check of an infeasibility certificate: nonnegative
+    on `>=` rows, and max_k sum_r lambda_r c_r[k] < sum_r lambda_r rhs_r."""
+    if any(lam < 0 for lam, row in zip(farkas, system.rows) if row.relation == ">="):
+        raise InternalInvariantError(
+            "lp-farkas-substitution", f"multipliers {farkas} are negative on a >= row"
+        )
+    bound = sum((lam * row.rhs for lam, row in zip(farkas, system.rows)), _ZERO)
+    top = max(
+        sum((lam * row.coefficients[k] for lam, row in zip(farkas, system.rows)), _ZERO)
+        for k in range(system.dimension)
+    )
+    if top >= bound:
+        raise InternalInvariantError(
+            "lp-farkas-substitution",
+            f"multipliers {farkas} reach {top} on a vertex, not below {bound}",
         )

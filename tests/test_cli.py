@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -21,6 +22,9 @@ from qccheck.cli import (
     problem_to_json,
     run_harness,
 )
+
+# the source tree this copy of the package was imported from
+SRC = str(Path(cli_module.__file__).resolve().parents[1])
 
 P1_DOC = {
     "states": ["low", "high"],
@@ -252,6 +256,29 @@ class TestExitCodes:
         assert captured.err.startswith("qccheck: input error: ")
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "out_dir, out",
+        [(None, "{tmp}/missing/dir/x.json"), ("{tmp}/missing", "x.json")],
+        ids=["absolute", "under-out-dir-env"],
+    )
+    def test_unusable_out_is_refused_before_any_work(
+        self, out_dir, out, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(**kwargs):
+            raise AssertionError("the harness ran before --out was checked")
+
+        monkeypatch.setattr(cli_module, "run_harness", no_work)
+        if out_dir is not None:
+            monkeypatch.setenv("QCCHECK_OUT_DIR", out_dir.format(tmp=tmp_path))
+        argv = ["verify-props", "--instances", "100", "--seed", "1729", "--grid", "20",
+                "--out", out.format(tmp=tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qccheck: input error: cannot write ")
+        assert str(tmp_path / "missing") in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_internal_error_emits_diagnostic_and_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an oracle/solver contradiction by monkeypatching the grid dip
         # finder to hallucinate a witness
@@ -294,6 +321,34 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["qcc"]["holds"] is True
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        path = write_json(tmp_path / "p1.json", P1_DOC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qccheck", "check-qcc", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["qcc"]["holds"] is True
+
+
+class TestImportCost:
+    def test_cli_import_leaves_hashlib_unloaded(self):
+        # hashlib loads OpenSSL; only problem_digest needs it
+        code = (
+            "import sys, qccheck.cli; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestHarnessStability:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from qccheck import (
+    Belief,
     DecisionProblem,
     GridSpec,
     PolynomialProblem,
@@ -14,6 +15,7 @@ from qccheck import (
     random_problem,
     unique_optimality_witness,
 )
+from qccheck.dominance import _duality_check
 
 
 def mixture_dominates(problem, action_index, weights):
@@ -75,6 +77,78 @@ class TestMixedDominanceCertificate:
                 assert (witness is None) != (certificate is None)
                 if certificate is not None:
                     assert mixture_dominates(problem, action, certificate)
+
+
+CONCAVE_POLY = PolynomialProblem(
+    (F(0), F(2)), ("low", "high"), ((F(0), F(0), F(-1)), (F(-4), F(4), F(-1)))
+)
+
+
+class TestWitnessFromFarkasRay:
+    """The witness read off the mixture LP against the strict LP of
+    `unique_optimality_witness`, an independent route."""
+
+    @staticmethod
+    def check_both_routes(problem):
+        """Returns how many actions are essential (have a witness)."""
+        essential = 0
+        for action in range(problem.num_actions):
+            weights, witness = _duality_check(problem, action)
+            assert (weights is None) != (witness is None)
+            assert (weights is None) == (unique_optimality_witness(problem, action) is not None)
+            if weights is not None:
+                assert mixture_dominates(problem, action, weights)
+            else:
+                assert witness.is_interior
+                assert problem.argmax_set(witness) == {action}
+                essential += 1
+        return essential
+
+    def test_random_problems(self):
+        essential = total = 0
+        for seed in range(60):
+            problem = random_problem(
+                seed=8300 + seed, actions=2 + seed % 5, states=1 + seed % 4, magnitude=2 + seed % 5
+            )
+            essential += self.check_both_routes(problem)
+            total += problem.num_actions
+        # the seeds exercise both sides of the duality
+        assert 20 < essential < total - 20
+
+    @pytest.mark.parametrize("actions", [3, 5, 8])
+    def test_discretized_problems(self, actions):
+        problem = CONCAVE_POLY.discretize(actions)
+        assert self.check_both_routes(problem) == actions
+
+    @pytest.mark.parametrize(
+        "matrix, action, witness",
+        [
+            # the ray is the vertex (1, 0) and the uniform belief prefers
+            # action 1, so the step is e = 1/(2 * 11/2) = 1/11, not 1/2
+            ([[1, 0], [0, 10]], 0, (F(21, 22), F(1, 22))),
+            # vertex (1, 0, 0); uniform margin -2 against ray margin 3: e = 3/10
+            ([[3, 0, 0], [0, 0, 9], [0, 9, 0]], 0, (F(4, 5), F(1, 10), F(1, 10))),
+        ],
+    )
+    def test_boundary_ray_moves_inside(self, matrix, action, witness):
+        problem = DecisionProblem.from_matrix(matrix)
+        weights, found = _duality_check(problem, action)
+        assert weights is None
+        assert found.coordinates == witness
+        self.check_both_routes(problem)
+
+    def test_one_state_problem(self):
+        # the only belief is interior, and only the best action is essential
+        problem = DecisionProblem.from_matrix([[1], [4], [2]])
+        assert _duality_check(problem, 1) == (None, Belief((F(1),)))
+        assert self.check_both_routes(problem) == 1
+
+    def test_duplicate_rows(self):
+        # each copy is dominated by the other; the third action is not
+        problem = DecisionProblem.from_matrix([[1, 1], [1, 1], [0, 3]])
+        assert _duality_check(problem, 0)[0] == (F(0), F(1), F(0))
+        assert _duality_check(problem, 1)[0] == (F(1), F(0), F(0))
+        assert self.check_both_routes(problem) == 1
 
 
 class TestIteratedElimination:
@@ -202,24 +276,21 @@ class TestEliminationLpCount:
         return report, len(calls)
 
     @pytest.mark.parametrize("actions", [3, 5, 8])
-    def test_two_lps_per_action_when_nothing_is_removed(self, actions, monkeypatch):
+    def test_one_lp_per_action_when_nothing_is_removed(self, actions, monkeypatch):
         # concave in the action at every belief: each grid action is
         # uniquely optimal where the belief puts the peak on it
-        poly = PolynomialProblem(
-            (F(0), F(2)), ("low", "high"), ((F(0), F(0), F(-1)), (F(-4), F(4), F(-1)))
-        )
-        report, lps = self.count_lps(poly.discretize(actions), monkeypatch)
+        report, lps = self.count_lps(CONCAVE_POLY.discretize(actions), monkeypatch)
         assert report.removed == ()
-        assert lps == 2 * actions
+        assert lps == actions
 
     @pytest.mark.parametrize(
         "matrix, lps",
         [
-            ([[3, -3, 0]], 1),  # one action: only its witness LP
-            ([[0, 0], [1, 1]], 3),  # the survivor is never scanned
+            ([[3, -3, 0]], 0),  # one action: nothing to solve
+            ([[0, 0], [1, 1]], 1),  # the survivor is never scanned
         ],
     )
-    def test_lone_survivor_gets_one_witness_lp(self, matrix, lps, monkeypatch):
+    def test_lone_survivor_needs_no_witness_lp(self, matrix, lps, monkeypatch):
         report, count = self.count_lps(DecisionProblem.from_matrix(matrix), monkeypatch)
         assert len(report.witnesses) == 1
         assert count == lps

@@ -9,8 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import qccheck.exactlp as exactlp
 from qccheck import (
     GridSpec,
+    InternalInvariantError,
     LinearSystem,
     LPStatus,
     SplitMix64,
@@ -129,6 +131,72 @@ def _random_system(rng, dim, num_rows):
         rhs = F(rng.next_int(-2, 2), 4) if relation != "==" else F(0)
         rows.append((coeffs, relation, rhs))
     return LinearSystem.build(dim, rows)
+
+
+def certifies_infeasibility(sys_r, farkas):
+    """The Farkas check, written out apart from the solver."""
+    if len(farkas) != len(sys_r.rows):
+        return False
+    if any(lam < 0 for lam, row in zip(farkas, sys_r.rows) if row.relation == ">="):
+        return False
+    bound = sum(lam * row.rhs for lam, row in zip(farkas, sys_r.rows))
+    return all(
+        sum(lam * row.coefficients[k] for lam, row in zip(farkas, sys_r.rows)) < bound
+        for k in range(sys_r.dimension)
+    )
+
+
+def _random_weak_system(rng, dim, num_rows):
+    rows = []
+    for _ in range(num_rows):
+        coeffs = tuple(F(rng.next_int(-4, 4)) for _ in range(dim))
+        relation = (">=", "==")[rng.next_below(2)]
+        rows.append((coeffs, relation, F(rng.next_int(-3, 3), rng.next_int(1, 3))))
+    return LinearSystem.build(dim, rows)
+
+
+class TestFarkasRay:
+    def test_hand_checked_rays(self):
+        # x0 >= 2 on the simplex: one unit of the row gives 1 < 2 at best
+        assert solve(system(2, rows=[((1, 0), ">=", 2)])).farkas == (F(1),)
+        # x0 - x1 == -3 is stored negated; the ray flips back to -1, and
+        # -(x0 - x1) reaches 1 at most, below 3
+        assert solve(system(2, rows=[((1, -1), "==", -3)])).farkas == (F(-1),)
+
+    def test_only_infeasible_weak_systems_carry_a_ray(self):
+        assert solve(system(2, rows=[((1, 0), ">=", 0)])).farkas is None
+        assert strict_feasible(system(2, rows=[((1, 0), ">", 2)])).farkas is None
+
+    def test_random_infeasible_systems(self):
+        rng = SplitMix64(6151)
+        infeasible = equality_rows = 0
+        for _ in range(300):
+            sys_r = _random_weak_system(rng, rng.next_int(1, 4), rng.next_int(1, 4))
+            result = solve(sys_r)
+            if result.is_optimal:
+                assert result.farkas is None
+                continue
+            infeasible += 1
+            equality_rows += any(row.relation == "==" for row in sys_r.rows)
+            assert certifies_infeasibility(sys_r, result.farkas)
+            # a corrupted ray is refused: negating a certificate breaks it,
+            # and so does the zero vector
+            for bad in (tuple(-lam for lam in result.farkas), (F(0),) * len(sys_r.rows)):
+                assert not certifies_infeasibility(sys_r, bad)
+                with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
+                    exactlp._verify_farkas(sys_r, bad)
+        assert infeasible > 100 and equality_rows > 50
+
+    def test_corrupted_ray_raises_inside_solve(self, monkeypatch):
+        original = exactlp._solve_standard_form
+
+        def negated_ray(*args):
+            value, vector = original(*args)
+            return value, vector if value is not None else [-y for y in vector]
+
+        monkeypatch.setattr(exactlp, "_solve_standard_form", negated_ray)
+        with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
+            solve(system(2, rows=[((1, 0), ">=", 2), ((0, 1), "==", F(1, 2))]))
 
 
 class TestStrictAgainstGridOracle:
