@@ -32,6 +32,7 @@ from .exactlp import (
     LinearSystem,
     LPResult,
     LPStatus,
+    planar_feasible,
     solve,
     strict_feasible,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "iterated_elimination",
     "lowest_optimal_action",
     "mixed_dominance_certificate",
+    "planar_feasible",
     "random_problem",
     "relabel_for_lsc",
     "solve",

@@ -8,7 +8,7 @@ so reports round-trip exactly.
 
 Exit codes: 0 analysis completed (verdicts live inside the report),
 1 malformed input, 2 violated internal invariant (accompanied by a
-machine-readable diagnostic naming the invariant).
+machine-readable diagnostic naming the invariant and the pipeline stage).
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .dominance import (
     EliminationReport,
@@ -237,6 +238,17 @@ def _elimination_json(report: EliminationReport) -> dict:
 # Analysis pipelines.
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Name the pipeline stage on an invariant violation raised in the block:
+    audit, elimination, qcc, convexity, nesting, lsc or oracle."""
+    try:
+        yield
+    except InternalInvariantError as exc:
+        exc.stage = name
+        raise
+
+
 def _oracle_cross_check(
     problem: DecisionProblem,
     qcc_verdict: QccVerdict,
@@ -274,12 +286,18 @@ def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict
     """Full pipeline: eliminate, certify, then run every whole-simplex check
     on the surviving problem."""
     start = time.perf_counter()
-    elimination = iterated_elimination(problem)
+    with _stage("elimination"):
+        elimination = iterated_elimination(problem)
     surviving = elimination.surviving
-    qcc_verdict = check_qcc(surviving)
-    convexity_verdict = check_argmax_convexity(surviving)
-    nesting = check_nesting(surviving)
-    relabeling, relabeled = relabel_for_lsc(surviving)
+    with _stage("qcc"):
+        qcc_verdict = check_qcc(surviving)
+    with _stage("convexity"):
+        convexity_verdict = check_argmax_convexity(surviving)
+    with _stage("nesting"):
+        nesting = check_nesting(surviving)
+    with _stage("lsc"):
+        relabeling, relabeled = relabel_for_lsc(surviving)
+        lsc = _lsc_block(surviving, relabeled)
     report = {
         "command": "analyze",
         "input": _input_json(problem),
@@ -289,13 +307,14 @@ def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict
         "equivalence_agreement": qcc_verdict.holds == convexity_verdict.holds,
         "nesting": _nesting_json(nesting),
         "relabeling": _relabeling_json(relabeling),
-        "lsc": _lsc_block(surviving, relabeled),
+        "lsc": lsc,
         "oracle": None,
     }
     if grid_denominator > 0:
-        dip, gap = _oracle_cross_check(
-            surviving, qcc_verdict, convexity_verdict, grid_denominator
-        )
+        with _stage("oracle"):
+            dip, gap = _oracle_cross_check(
+                surviving, qcc_verdict, convexity_verdict, grid_denominator
+            )
         report["oracle"] = {
             "grid_denominator": grid_denominator,
             "dip": None if dip is None else _triple_json(*dip),
@@ -338,7 +357,8 @@ def run_harness(
     and (optionally) sweep a belief grid for counterexamples the solver must
     also have found.  The report is deterministic byte-for-byte for a fixed
     configuration: it contains no timing and no floats.  A violated internal
-    invariant is re-raised with the instance's index, seed and problem digest.
+    invariant is re-raised with the instance's index, seed and problem digest
+    in front of its details, and with its stage kept.
     The summary's `duality_violations` and `witness_soundness_failures`
     therefore always read 0: such a violation ends the run with exit 2
     instead of being counted.  They stay to keep the report's bytes stable.
@@ -354,11 +374,13 @@ def run_harness(
         try:
             record = _harness_record(problem, grid)
         except InternalInvariantError as exc:
-            raise InternalInvariantError(
+            located = InternalInvariantError(
                 exc.invariant,
                 f"instance {index} (seed {instance_seed}, problem digest "
                 f"{problem_digest(problem)}): {exc.details}",
-            ) from exc
+            )
+            located.stage = exc.stage
+            raise located from exc
         records.append({"index": index, "seed": instance_seed, **record})
 
     qcc_holding = [r for r in records if r["qcc_holds"]]
@@ -400,20 +422,26 @@ def _harness_record(problem: DecisionProblem, grid: int) -> dict:
     """Check one harness instance and return its record."""
     # Exactly one of witness/certificate per action; violations raise.
     if problem.num_actions >= 2:
-        for action in range(problem.num_actions):
-            mixed_dominance_certificate(problem, action)
+        with _stage("audit"):
+            for action in range(problem.num_actions):
+                mixed_dominance_certificate(problem, action)
 
-    elimination = iterated_elimination(problem)
+    with _stage("elimination"):
+        elimination = iterated_elimination(problem)
     surviving = elimination.surviving
-    qcc_verdict = check_qcc(surviving)
-    convexity_verdict = check_argmax_convexity(surviving)
+    with _stage("qcc"):
+        qcc_verdict = check_qcc(surviving)
+    with _stage("convexity"):
+        convexity_verdict = check_argmax_convexity(surviving)
     agreement = qcc_verdict.holds == convexity_verdict.holds
-    nesting = check_nesting(surviving)
+    with _stage("nesting"):
+        nesting = check_nesting(surviving)
     nesting_ok = nesting.chain_holds and nesting.region_identification_holds
-    relabeling, relabeled = relabel_for_lsc(surviving)
-    relaxed = check_lsc(relabeled, "relaxed")
-    literal = check_lsc(relabeled, "literal")
-    again, _ = relabel_for_lsc(relabeled)
+    with _stage("lsc"):
+        relabeling, relabeled = relabel_for_lsc(surviving)
+        relaxed = check_lsc(relabeled, "relaxed")
+        literal = check_lsc(relabeled, "literal")
+        again, _ = relabel_for_lsc(relabeled)
     idempotent = again.permutation == tuple(range(relabeled.num_states))
 
     record = {
@@ -431,7 +459,8 @@ def _harness_record(problem: DecisionProblem, grid: int) -> dict:
     }
 
     if grid > 0:
-        dip, gap = _oracle_cross_check(surviving, qcc_verdict, convexity_verdict, grid)
+        with _stage("oracle"):
+            dip, gap = _oracle_cross_check(surviving, qcc_verdict, convexity_verdict, grid)
         record["grid_dip_found"] = dip is not None
         record["grid_gap_found"] = gap is not None
     return record
@@ -615,6 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         diagnostic = {
             "error": "internal-invariant-violation",
             "invariant": exc.invariant,
+            "stage": exc.stage,
             "details": exc.details,
         }
         print(json.dumps(diagnostic, indent=2))

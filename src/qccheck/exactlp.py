@@ -21,6 +21,18 @@ rewritten as c.x >= r + t for a fresh variable t bounded by 1, and t is
 maximized.  The open system has a solution over the simplex if and only if
 the optimum t* is strictly positive; the compactness of the simplex makes
 this criterion exact.
+
+Two-row systems a.x > 0, b.x > 0 (or b.x >= 0) are decided in the plane,
+with no simplex at all (`planar_feasible`).  Each state s maps to the point
+(a_s, b_s), and the beliefs map onto the convex hull of these points, so the
+system holds somewhere exactly when the hull meets the open quadrant (or the
+quadrant with its positive a-axis).  If it does, some vertex or edge of a
+Caratheodory triangle meets it too, so the point masses and the pairwise
+segments settle the question: the witness is a point mass or a point on one
+segment.  Otherwise the answer is a Motzkin certificate (Motzkin 1936):
+multipliers (alpha, beta) >= 0, positive on a strict row, with
+alpha a_s + beta b_s <= 0 for every state.  Both answers are re-verified by
+substitution, the certificate by the same check as a Farkas ray.
 """
 
 from __future__ import annotations
@@ -136,11 +148,11 @@ class LPStatus(enum.Enum):
 class LPResult:
     """Outcome of an exact solve: a verdict plus a substitutable witness.
 
-    For strict systems, `slack` holds the maximized margin t*; the open
+    For `strict_feasible`, `slack` holds the maximized margin t*; the open
     system is feasible exactly when t* > 0, and `witness` is present only in
-    that case.  When `solve` finds a weak system infeasible, `farkas` holds
-    the row multipliers that certify it (see the module docstring), aligned
-    with the system's rows; it is None otherwise.
+    that case.  When `solve` or `planar_feasible` finds a system infeasible,
+    `farkas` holds the row multipliers that certify it (see the module
+    docstring), aligned with the system's rows; it is None otherwise.
     """
 
     status: LPStatus
@@ -155,10 +167,9 @@ class LPResult:
 
     @property
     def open_feasible(self) -> bool:
-        """Whether a strict system was found to have an exact solution."""
-        return self.status is LPStatus.OPTIMAL and (
-            self.slack is not None and self.slack > 0
-        )
+        """Whether a strict system was found to have an exact solution: a
+        strict result carries a witness only when the system holds."""
+        return self.witness is not None
 
 
 def _pivot(tableau: list[list[Fraction]], zrow: list[Fraction],
@@ -384,6 +395,101 @@ def strict_feasible(system: LinearSystem) -> LPResult:
     return LPResult(LPStatus.OPTIMAL, value=t_star, witness=witness, slack=t_star)
 
 
+def planar_feasible(system: LinearSystem) -> LPResult:
+    """Decide a.x > 0 and b.x > 0 (or b.x >= 0) over the simplex in the plane.
+
+    The system must have exactly two rows, both with rhs 0, the first strict
+    and the second strict or weak, and must not require interiority.  The
+    result carries either a witness (a point mass, or a point on the segment
+    between two point masses) or a Motzkin certificate in `farkas`; both are
+    re-verified by substitution.  See the module docstring.
+    """
+    if (
+        len(system.rows) != 2
+        or system.interior_required
+        or system.rows[0].relation != ">"
+        or system.rows[1].relation not in (">", ">=")
+        or any(row.rhs != 0 for row in system.rows)
+    ):
+        raise ValueError("planar_feasible needs rows a.x > 0 and b.x > 0 or b.x >= 0")
+    first, second = system.rows
+    points = tuple(zip(first.coefficients, second.coefficients))
+    strict = second.relation == ">"
+    witness = _planar_witness(points, strict)
+    if witness is not None:
+        _verify_witness(system, witness, strict_must_hold=True)
+        return LPResult(LPStatus.OPTIMAL, witness=witness)
+    farkas = _motzkin_multipliers(points, strict)
+    if farkas is None:
+        raise InternalInvariantError(
+            "lp-planar-alternative", f"neither a witness nor a certificate for {points}"
+        )
+    _verify_farkas(system, farkas)
+    return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
+
+
+def _planar_witness(
+    points: Sequence[tuple[Fraction, Fraction]], strict: bool
+) -> Optional[Belief]:
+    """A belief whose image lies in the quadrant, from the point masses first
+    and then the segments; the middle of the segment's feasible interval."""
+    n = len(points)
+    for s, (a, b) in enumerate(points):
+        if a > 0 and (b > 0 or (b == 0 and not strict)):
+            return Belief.point_mass(s, n)
+    for s in range(n):
+        a_s, b_s = points[s]
+        for t in range(s + 1, n):
+            a_t, b_t = points[t]
+            if (a_s <= 0 and a_t <= 0) or (b_s < 0 and b_t < 0):
+                continue
+            interval = _segment_interval(((a_s, a_t, True), (b_s, b_t, strict)))
+            if interval is not None:
+                lam = (interval[0] + interval[1]) / 2
+                coords = [_ZERO] * n
+                coords[s], coords[t] = _ONE - lam, lam
+                return Belief(tuple(coords))
+    return None
+
+
+def _segment_interval(
+    constraints: Iterable[tuple[Fraction, Fraction, bool]]
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The closure [lo, hi] of the set of lambda in [0, 1] with
+    (1 - lambda) u + lambda v > 0 (or >= 0 when not strict) for every
+    (u, v, strict), or None when that set is empty."""
+    lo, lo_open, hi, hi_open = _ZERO, False, _ONE, False
+    for u, v, strict in constraints:
+        slope = v - u
+        if slope == 0:
+            if u < 0 or (u == 0 and strict):
+                return None
+            continue
+        root = -u / slope
+        if slope > 0 and (root > lo or (root == lo and strict)):
+            lo, lo_open = root, strict
+        elif slope < 0 and (root < hi or (root == hi and strict)):
+            hi, hi_open = root, strict
+    if lo < hi or (lo == hi and not lo_open and not hi_open):
+        return lo, hi
+    return None
+
+
+def _motzkin_multipliers(
+    points: Sequence[tuple[Fraction, Fraction]], strict: bool
+) -> Optional[tuple[Fraction, Fraction]]:
+    """(alpha, beta) >= 0 with alpha a_s + beta b_s <= 0 for every point,
+    alpha > 0 when only the first row is strict and (alpha, beta) != 0
+    otherwise; the candidates are the axes and the normals of the lines
+    through the origin and each point."""
+    candidates = [(_ONE, _ZERO), (_ZERO, _ONE)] + [(abs(b), abs(a)) for a, b in points]
+    for alpha, beta in candidates:
+        if alpha > 0 or (strict and beta > 0):
+            if all(alpha * a + beta * b <= 0 for a, b in points):
+                return alpha, beta
+    return None
+
+
 def _verify_witness(system: LinearSystem, witness: Belief, strict_must_hold: bool) -> None:
     """Exact substitution check of a solver witness against the original rows."""
     for row in system.rows:
@@ -403,18 +509,27 @@ def _verify_witness(system: LinearSystem, witness: Belief, strict_must_hold: boo
 
 def _verify_farkas(system: LinearSystem, farkas: tuple[Fraction, ...]) -> None:
     """Exact substitution check of an infeasibility certificate: nonnegative
-    on `>=` rows, and max_k sum_r lambda_r c_r[k] < sum_r lambda_r rhs_r."""
-    if any(lam < 0 for lam, row in zip(farkas, system.rows) if row.relation == ">="):
+    on inequality rows, and max_k sum_r lambda_r c_r[k] < sum_r lambda_r rhs_r.
+    A system with strict rows needs a positive multiplier on one of them,
+    and then <= suffices: the combined row is strict at every solution."""
+    if any(lam < 0 for lam, row in zip(farkas, system.rows) if row.relation != "=="):
         raise InternalInvariantError(
-            "lp-farkas-substitution", f"multipliers {farkas} are negative on a >= row"
+            "lp-farkas-substitution", f"multipliers {farkas} are negative on an inequality row"
+        )
+    strict = system.has_strict_rows
+    if strict and not any(
+        lam > 0 for lam, row in zip(farkas, system.rows) if row.relation == ">"
+    ):
+        raise InternalInvariantError(
+            "lp-farkas-substitution", f"multipliers {farkas} are zero on every strict row"
         )
     bound = sum((lam * row.rhs for lam, row in zip(farkas, system.rows)), _ZERO)
     top = max(
         sum((lam * row.coefficients[k] for lam, row in zip(farkas, system.rows)), _ZERO)
         for k in range(system.dimension)
     )
-    if top >= bound:
+    if top > bound or (top == bound and not strict):
         raise InternalInvariantError(
             "lp-farkas-substitution",
-            f"multipliers {farkas} reach {top} on a vertex, not below {bound}",
+            f"multipliers {farkas} reach {top} on a vertex, above or at {bound}",
         )

@@ -3,15 +3,19 @@
 Three related views of the same arrangement of affine payoff differences:
 
 * convexity of the optimal-action set at every belief (no belief may make
-  two actions optimal while skipping one strictly between them), decided
-  with one LP per pair of actions that has an action between them,
+  two actions optimal while skipping one strictly between them),
 * the pairwise indifference hyperplanes given by payoff-row differences,
 * the nesting structure of adjacent-comparison halfspaces, under which the
   region where action i beats everything above it is carved out by the
   single comparison against its immediate successor.
 
-All checks are exact LPs over the closed simplex; every reported failure
-belief is re-verified by substitution.
+A gap at a belief is a strict dip there: if i and k are optimal and j is
+not, then u_i - u_j > 0 and u_k - u_j > 0.  So convexity first asks, in the
+plane, whether some dip (i, j, k) with i < j < k is possible at all, and
+solves an exact LP only for the pairs (i, k) where one is.  The nesting
+questions are two-row systems too, decided in the plane with no LP
+(`exactlp.planar_feasible`).  Every reported failure belief is re-verified
+by substitution.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, solve, strict_feasible
+from .exactlp import LinearSystem, planar_feasible, solve
 from .problems import Belief, DecisionProblem
+from .qcc import dip_system
 
 
 @dataclass(frozen=True)
@@ -84,19 +89,24 @@ def check_argmax_convexity(problem: DecisionProblem) -> ConvexityVerdict:
     """Decide whether the optimal-action set is a contiguous index range at
     every belief in the closed simplex.
 
-    One LP per pair i < k with an action between them: on the face where i
-    and k are both optimal (one equality plus global weak comparisons),
-    maximize the sum of the gaps u_i - u_j over the actions j strictly
-    between.  Every gap is nonnegative there, so the optimum is positive
-    exactly when some belief skips a middle action.  The first such pair in
-    lexicographic order is reported, with j the lowest action between i and
-    k that is not optimal at the maximizer.
+    A pair i < k is skipped when no dip (i, j, k) with j between them is
+    feasible: a gap is a dip, so no belief skips a middle action there.
+    Each other pair gets one LP: on the face where i and k are both optimal
+    (one equality plus global weak comparisons), maximize the sum of the
+    gaps u_i - u_j over the actions j strictly between.  Every gap is
+    nonnegative there, so the optimum is positive exactly when some belief
+    skips a middle action.  The first such pair in lexicographic order is
+    reported, with j the lowest action between i and k that is not optimal
+    at the maximizer.
     """
     m = problem.num_actions
     for i in range(m - 2):
         optimal_rows = [(indifference_hyperplane(problem, i, other), ">=", 0)
                         for other in range(m) if other != i]
         for k in range(i + 2, m):
+            if not any(planar_feasible(dip_system(problem, i, j, k)).open_feasible
+                       for j in range(i + 1, k)):
+                continue
             middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
             rows = [(indifference_hyperplane(problem, i, k), "==", 0)] + optimal_rows
             objective = [sum(column) for column in zip(*middle)]
@@ -165,7 +175,7 @@ def _beats_without(
         problem.num_states,
         rows=[(positive, ">", 0), (tuple(-c for c in nonpositive), ">=", 0)],
     )
-    result = strict_feasible(system)
+    result = planar_feasible(system)
     if not result.open_feasible:
         return None
     belief = result.witness

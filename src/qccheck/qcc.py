@@ -2,10 +2,13 @@
 
 A problem fails exactly when some belief produces a strict interior dip in
 the action-indexed expected-payoff sequence.  Each candidate dip pattern
-(i, j, k) is a pair of strict linear inequalities in the belief, so the
-whole-simplex property reduces to finitely many exact strict-feasibility
-questions; any feasible one yields a counterexample belief that is
-re-verified pointwise before being reported.
+(i, j, k) is a pair of strict linear inequalities in the belief,
+u_i - u_j > 0 and u_k - u_j > 0, decided exactly in the plane of the points
+(u_i - u_j, u_k - u_j) over the states (`exactlp.planar_feasible`).  A
+feasible pattern yields a counterexample belief that is re-verified
+pointwise before being reported; an infeasible one comes with a verified
+Motzkin certificate (alpha, beta): action j weakly dominates the mixture of
+i and k with weights proportional to alpha and beta.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, strict_feasible
+from .exactlp import LinearSystem, planar_feasible
 from .problems import Belief, DecisionProblem, is_unimodal
 
 
@@ -47,6 +50,19 @@ def unimodality_profile(
     return values, is_unimodal(values)
 
 
+def dip_system(problem: DecisionProblem, i: int, j: int, k: int) -> LinearSystem:
+    """The beliefs where j is strictly worse than both i and k:
+    u_i - u_j > 0 and u_k - u_j > 0."""
+    row_i, row_j, row_k = problem.payoff[i], problem.payoff[j], problem.payoff[k]
+    return LinearSystem.build(
+        problem.num_states,
+        rows=[
+            (tuple(a - b for a, b in zip(row_i, row_j)), ">", 0),
+            (tuple(a - b for a, b in zip(row_k, row_j)), ">", 0),
+        ],
+    )
+
+
 def check_qcc(problem: DecisionProblem) -> QccVerdict:
     """Decide whether every belief yields a unimodal payoff sequence.
 
@@ -57,15 +73,7 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
     count = 0
     for i, j, k in itertools.combinations(range(problem.num_actions), 3):
         count += 1
-        row_i, row_j, row_k = problem.payoff[i], problem.payoff[j], problem.payoff[k]
-        system = LinearSystem.build(
-            problem.num_states,
-            rows=[
-                (tuple(a - b for a, b in zip(row_i, row_j)), ">", 0),
-                (tuple(a - b for a, b in zip(row_k, row_j)), ">", 0),
-            ],
-        )
-        result = strict_feasible(system)
+        result = planar_feasible(dip_system(problem, i, j, k))
         if result.open_feasible:
             belief = result.witness
             assert belief is not None

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qccheck.cli as cli_module
-from qccheck import Belief, unimodality_profile
+from qccheck import Belief, InternalInvariantError, unimodality_profile
 from qccheck.cli import (
     InputFileError,
     analyze_problem,
@@ -311,6 +311,22 @@ class TestExitCodes:
         assert f"seed {seed}" in details
         assert problem_digest(problem) in details
         assert "grid dip" in details
+
+    @pytest.mark.parametrize("command", ["analyze", "verify-props"])
+    def test_diagnostic_names_the_stage(self, command, tmp_path, capsys, monkeypatch):
+        def broken_nesting(problem):
+            raise InternalInvariantError("nesting-chain", "forced")
+
+        monkeypatch.setattr(cli_module, "check_nesting", broken_nesting)
+        if command == "analyze":
+            argv = ["analyze", str(write_json(tmp_path / "p1.json", P1_DOC)), "--grid", "5"]
+        else:
+            argv = ["verify-props", "--instances", "3", "--grid", "2"]
+        assert main(argv) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["invariant"] == "nesting-chain"
+        assert diagnostic["stage"] == "nesting"
+        assert diagnostic["details"].endswith("forced")
 
     def test_console_script_entry_point(self, tmp_path):
         path = write_json(tmp_path / "p1.json", P1_DOC)

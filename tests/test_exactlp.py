@@ -11,12 +11,14 @@ import pytest
 
 import qccheck.exactlp as exactlp
 from qccheck import (
+    Belief,
     GridSpec,
     InternalInvariantError,
     LinearSystem,
     LPStatus,
     SplitMix64,
     grid_beliefs,
+    planar_feasible,
     solve,
     strict_feasible,
 )
@@ -199,6 +201,141 @@ class TestFarkasRay:
             solve(system(2, rows=[((1, 0), ">=", 2), ((0, 1), "==", F(1, 2))]))
 
 
+def _planar_system(a, b, relation=">"):
+    return system(len(a), rows=[(a, ">", 0), (b, relation, 0)])
+
+
+def _random_planar_system(rng, relation):
+    n = rng.next_int(1, 8)
+    magnitude = (3, 10, 1000)[rng.next_below(3)]
+    a = [F(rng.next_int(-magnitude, magnitude)) for _ in range(n)]
+    if rng.next_below(4) == 0:  # parallel rows: b_t - b_s is a multiple of a_t - a_s
+        scale = F(rng.next_int(-3, 3))
+        b = [scale * x for x in a]
+    else:
+        b = [F(rng.next_int(-magnitude, magnitude)) for _ in range(n)]
+    return _planar_system(a, b, relation)
+
+
+def certifies_motzkin(sys_r, farkas):
+    """The planar certificate, written out apart from the solver: (alpha,
+    beta) >= 0, alpha > 0 when only the first row is strict and nonzero
+    otherwise, and alpha a_s + beta b_s <= 0 in every state."""
+    (alpha, beta), (first, second) = farkas, sys_r.rows
+    if alpha < 0 or beta < 0 or not (alpha > 0 or (second.relation == ">" and beta > 0)):
+        return False
+    return all(
+        alpha * a + beta * b <= 0 for a, b in zip(first.coefficients, second.coefficients)
+    )
+
+
+class TestPlanarFeasible:
+    @pytest.mark.parametrize("relation", [">", ">="])
+    def test_matches_strict_feasible_on_seeded_systems(self, relation):
+        rng = SplitMix64(7919 if relation == ">" else 7927)
+        seen = {True: 0, False: 0}
+        for _ in range(700):
+            sys_r = _random_planar_system(rng, relation)
+            result = planar_feasible(sys_r)
+            assert result.open_feasible == strict_feasible(sys_r).open_feasible
+            seen[result.open_feasible] += 1
+            assert result.slack is None
+            if result.open_feasible:
+                assert result.farkas is None
+                assert all(row.satisfied_by(result.witness.coordinates) for row in sys_r.rows)
+            else:
+                assert result.status is LPStatus.INFEASIBLE and result.witness is None
+                assert certifies_motzkin(sys_r, result.farkas)
+        assert seen[True] > 150 and seen[False] > 150
+
+    def test_one_state(self):
+        assert planar_feasible(_planar_system([3], [1])).witness.coordinates == (F(1),)
+        assert planar_feasible(_planar_system([3], [0], ">=")).open_feasible
+        for a, b, relation, farkas in [
+            ([3], [0], ">", (F(0), F(1))),
+            ([3], [-2], ">=", (F(2), F(3))),
+            ([0], [5], ">", (F(1), F(0))),
+            ([0], [0], ">=", (F(1), F(0))),
+        ]:
+            result = planar_feasible(_planar_system(a, b, relation))
+            assert not result.open_feasible and result.farkas == farkas
+
+    @pytest.mark.parametrize("scale", [F(2), F(0), F(-1)])
+    @pytest.mark.parametrize("relation", [">", ">="])
+    def test_parallel_rows(self, scale, relation):
+        a = (F(-2), F(5), F(1))
+        sys_r = _planar_system(a, tuple(scale * x for x in a), relation)
+        result = planar_feasible(sys_r)
+        assert result.open_feasible == strict_feasible(sys_r).open_feasible
+        assert result.open_feasible == (scale > 0 or (scale == 0 and relation == ">="))
+
+    def test_edge_witness_is_the_middle_of_the_open_interval(self):
+        # no point mass works; on the segment, 2 - 3 lam > 0 and -1 + 3 lam > 0
+        # leave lam in (1/3, 2/3), and either end would make a row zero
+        result = planar_feasible(_planar_system([2, -1], [-1, 2]))
+        assert result.witness.coordinates == (F(1, 2), F(1, 2))
+        result = planar_feasible(_planar_system([0, 4, -4], [0, -1, 3], ">="))
+        assert result.witness.coordinates == (F(0), F(5, 8), F(3, 8))
+
+    def test_feasible_set_of_one_closed_point(self):
+        # x1 - x2 > 0 and -x2 >= 0 hold only at the point mass on state 0
+        result = planar_feasible(_planar_system([1, 1], [0, -1], ">="))
+        assert result.witness.coordinates == (F(1), F(0))
+        # a segment whose two weak constraints leave the single lam = 1/2
+        constraints = ((F(1), F(-1), False), (F(-1), F(1), False))
+        assert exactlp._segment_interval(constraints) == (F(1, 2), F(1, 2))
+        strict = ((F(1), F(-1), True), (F(-1), F(1), False))
+        assert exactlp._segment_interval(strict) is None
+
+    def test_half_open_certificate_needs_a_positive_first_multiplier(self):
+        # every b_s < 0, so (0, 1) would separate; the half-open system
+        # still gets alpha > 0, from the line through (2, -1)
+        sys_r = _planar_system([2, -1], [-1, -3], ">=")
+        result = planar_feasible(sys_r)
+        assert result.farkas == (F(1), F(2))
+        with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
+            exactlp._verify_farkas(sys_r, (F(0), F(1)))
+        # with both rows strict, beta alone is enough
+        strict = _planar_system([2, -1], [-1, -3])
+        assert planar_feasible(strict).farkas == (F(0), F(1))
+
+    def test_corrupted_witness_raises(self, monkeypatch):
+        # (1/3, 2/3) lies on the feasible segment but makes the first row zero
+        wrong = Belief((F(1, 3), F(2, 3)))
+        monkeypatch.setattr(exactlp, "_planar_witness", lambda points, strict: wrong)
+        with pytest.raises(InternalInvariantError, match="lp-witness-substitution"):
+            planar_feasible(_planar_system([2, -1], [-1, 2]))
+
+    @pytest.mark.parametrize(
+        "bad", [(F(0), F(0)), (F(-1), F(0)), (F(1), F(0)), (F(0), F(1))]
+    )
+    def test_corrupted_certificate_raises(self, bad, monkeypatch):
+        # infeasible: the only state with a > 0 has b < 0
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: bad)
+        with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
+            planar_feasible(_planar_system([1, -1], [-1, 0], ">="))
+
+    def test_missing_alternative_raises(self, monkeypatch):
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: None)
+        with pytest.raises(InternalInvariantError, match="lp-planar-alternative"):
+            planar_feasible(_planar_system([1, -1], [-1, 0], ">="))
+
+    @pytest.mark.parametrize(
+        "rows, interior",
+        [
+            ([((1, 0), ">", 0)], False),
+            ([((1, 0), ">", 0), ((0, 1), ">", 0), ((1, 1), ">", 0)], False),
+            ([((1, 0), ">", 0), ((0, 1), ">", 1)], False),
+            ([((1, 0), ">=", 0), ((0, 1), ">", 0)], False),
+            ([((1, 0), ">", 0), ((0, 1), "==", 0)], False),
+            ([((1, 0), ">", 0), ((0, 1), ">", 0)], True),
+        ],
+    )
+    def test_rejects_other_shapes(self, rows, interior):
+        with pytest.raises(ValueError):
+            planar_feasible(system(2, rows=rows, interior=interior))
+
+
 class TestStrictAgainstGridOracle:
     """The slack criterion t* > 0 must agree with exhaustive grid search:
     a strict witness is itself a grid point at its own denominator, and an
@@ -282,13 +419,19 @@ def _package_modules():
 class TestModuleLifetime:
     def test_dropped_copy_of_the_package_is_collected(self):
         # a process that re-imports the package (a benchmark taking fresh
-        # set-ups) must not keep every earlier copy alive through a cache
+        # set-ups) must not keep every earlier copy alive through a cache:
+        # every module's annotations name Belief, so an annotation evaluated
+        # into typing's cache anywhere would keep it alive
         saved = {name: sys.modules.pop(name) for name in _package_modules()}
         try:
-            ref = weakref.ref(importlib.import_module("qccheck.exactlp").LinearRow)
+            importlib.import_module("qccheck")
+            refs = [
+                weakref.ref(importlib.import_module("qccheck.exactlp").LinearRow),
+                weakref.ref(importlib.import_module("qccheck.problems").Belief),
+            ]
         finally:
             for name in _package_modules():
                 del sys.modules[name]
             sys.modules.update(saved)
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import qccheck.exactlp as exactlp
 import qccheck.geometry as geometry
 from qccheck import (
     DecisionProblem,
@@ -28,6 +29,25 @@ def _triple_gap(problem, i, j, k):
             rows.append((indifference_hyperplane(problem, i, other), ">=", 0))
     rows.append((indifference_hyperplane(problem, i, j), ">", 0))
     return strict_feasible(LinearSystem.build(problem.num_states, rows)).open_feasible
+
+
+def _dip_feasible(problem, i, j, k):
+    """Reference dip LP: j strictly below both i and k somewhere."""
+    rows = [(indifference_hyperplane(problem, i, j), ">", 0),
+            (indifference_hyperplane(problem, k, j), ">", 0)]
+    return strict_feasible(LinearSystem.build(problem.num_states, rows)).open_feasible
+
+
+def _counted_solves(monkeypatch):
+    calls = []
+    solve = geometry.solve
+
+    def counting_solve(system):
+        calls.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(geometry, "solve", counting_solve)
+    return calls
 
 
 def _reference_first_triple(problem):
@@ -125,18 +145,27 @@ class TestArgmaxConvexity:
         assert all(between in optimal for between in range(i + 1, j))
 
     @pytest.mark.parametrize("actions", [3, 4, 6, 9])
-    def test_one_lp_per_pair_with_an_action_between(self, actions, monkeypatch):
-        calls = []
-        solve = geometry.solve
-
-        def counting_solve(system):
-            calls.append(system)
-            return solve(system)
-
-        monkeypatch.setattr(geometry, "solve", counting_solve)
+    def test_no_lp_when_convexity_holds(self, actions, monkeypatch):
+        # concave in the action in both states: no belief has a dip, so no
+        # pair can have a gap and none is solved
+        calls = _counted_solves(monkeypatch)
         problem = _polynomial((0, 0, -1), (0, 1, -1)).discretize(actions)
         assert check_argmax_convexity(problem).holds
-        assert len(calls) == (actions - 1) * (actions - 2) // 2
+        assert calls == []
+
+    @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS)
+    def test_one_lp_per_pair_with_a_feasible_dip(self, problem, monkeypatch):
+        calls = _counted_solves(monkeypatch)
+        verdict = check_argmax_convexity(problem)
+        pairs = [(i, k) for i, k in itertools.combinations(range(problem.num_actions), 2)
+                 if k > i + 1]
+        if not verdict.holds:
+            i, _, k = verdict.counterexample.triple
+            pairs = pairs[: pairs.index((i, k)) + 1]
+        expected = sum(
+            any(_dip_feasible(problem, i, j, k) for j in range(i + 1, k)) for i, k in pairs
+        )
+        assert len(calls) == expected
 
 
 class TestNesting:
@@ -157,6 +186,22 @@ class TestNesting:
         coords = failure.belief.coordinates
         assert sum(c * p for c, p in zip(adjacent, coords)) > 0
         assert sum(c * p for c, p in zip(successor, coords)) <= 0
+
+    def test_no_simplex_call(self, monkeypatch):
+        # every nesting question is a two-row system, decided in the plane
+        def no_simplex(*args):
+            raise AssertionError("nesting ran the simplex")
+
+        monkeypatch.setattr(exactlp, "_solve_standard_form", no_simplex)
+        monkeypatch.setattr(geometry, "solve", no_simplex)
+        failures = 0
+        for seed in range(30):
+            problem = random_problem(
+                seed=9500 + seed, actions=3 + seed % 4, states=1 + seed % 5, magnitude=9
+            )
+            report = check_nesting(problem)
+            failures += len(report.chain_failures) + len(report.region_failures)
+        assert failures > 10
 
     def test_two_actions_chain_is_empty(self):
         problem = DecisionProblem.from_matrix([[1, 0], [0, 1]])

@@ -1,16 +1,33 @@
 """Whole-simplex unimodality checking."""
 
+import itertools
 from fractions import Fraction as F
 
+import qccheck.exactlp as exactlp
 from qccheck import (
     Belief,
     DecisionProblem,
     GridSpec,
+    LinearSystem,
+    PolynomialProblem,
     check_qcc,
     find_grid_dip,
     random_problem,
+    strict_feasible,
     unimodality_profile,
 )
+
+
+def _reference_first_dip(problem):
+    """The lexicographically first triple whose dip LP is feasible."""
+    for i, j, k in itertools.combinations(range(problem.num_actions), 3):
+        rows = [
+            (tuple(a - b for a, b in zip(problem.payoff[i], problem.payoff[j])), ">", 0),
+            (tuple(a - b for a, b in zip(problem.payoff[k], problem.payoff[j])), ">", 0),
+        ]
+        if strict_feasible(LinearSystem.build(problem.num_states, rows)).open_feasible:
+            return i, j, k
+    return None
 
 
 class TestUnimodalityProfile:
@@ -65,6 +82,32 @@ class TestCheckQcc:
                 _, unimodal = unimodality_profile(problem, verdict.counterexample.belief)
                 assert not unimodal
         assert failures > 5  # dips are common among random problems
+
+    def test_matches_the_strict_lp_scan_without_a_simplex_call(self, monkeypatch):
+        problems = [
+            random_problem(seed=3300 + n, actions=3 + n % 5, states=1 + n % 8,
+                           magnitude=(3, 40, 1000)[n % 3])
+            for n in range(45)
+        ] + [
+            # concave in the action in every state: no dip anywhere
+            PolynomialProblem(
+                (F(-1), F(1)), [f"s{s}" for s in range(states)],
+                [(s, 2 - s, -1 - s) for s in range(states)],
+            ).discretize(3 + states)
+            for states in range(1, 7)
+        ]
+        references = [_reference_first_dip(problem) for problem in problems]
+
+        def no_simplex(*args):
+            raise AssertionError("check_qcc ran the simplex")
+
+        monkeypatch.setattr(exactlp, "_solve_standard_form", no_simplex)
+        for problem, reference in zip(problems, references):
+            verdict = check_qcc(problem)
+            assert verdict.holds == (reference is None)
+            if reference is not None:
+                assert verdict.counterexample.triple == reference
+        assert references.count(None) >= 9
 
     def test_success_confirmed_by_dense_grids(self):
         # soundness of a positive verdict against exhaustive small-instance
