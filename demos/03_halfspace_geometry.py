@@ -27,7 +27,7 @@ for i in range(smooth.num_actions - 1):
 print()
 print("Optimal-action convexity (no belief may skip a middle action):")
 for name, problem in [("smooth", smooth), ("bumpy", bumpy)]:
-    verdict = check_argmax_convexity(problem)
+    verdict = check_argmax_convexity(problem, check_qcc(problem))
     print(f"  {name}: holds={verdict.holds}")
     if verdict.counterexample is not None:
         ce = verdict.counterexample
@@ -56,6 +56,6 @@ print()
 print("Equivalence on the certified problems:")
 for name, problem in [("smooth", smooth), ("bumpy", bumpy)]:
     surviving = iterated_elimination(problem).surviving
-    unimodal = check_qcc(surviving).holds
-    convex = check_argmax_convexity(surviving).holds
-    print(f"  {name}: unimodal-everywhere={unimodal} convex-everywhere={convex}")
+    qcc = check_qcc(surviving)
+    convex = check_argmax_convexity(surviving, qcc).holds
+    print(f"  {name}: unimodal-everywhere={qcc.holds} convex-everywhere={convex}")

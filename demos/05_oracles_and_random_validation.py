@@ -35,7 +35,8 @@ print(f"grid gap on the bumpy problem: belief {[str(c) for c in gap[0]]}, triple
 print()
 print("Complete two-state oracle versus the LP verdicts:")
 oracle_verdict = exact_check_two_state(bumpy)
-lp_verdict = (check_qcc(bumpy).holds, check_argmax_convexity(bumpy).holds)
+qcc = check_qcc(bumpy)
+lp_verdict = (qcc.holds, check_argmax_convexity(bumpy, qcc).holds)
 print(f"  breakpoint oracle: (unimodal, convex) = {oracle_verdict}")
 print(f"  LP checkers:       (unimodal, convex) = {lp_verdict}")
 

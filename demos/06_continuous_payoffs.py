@@ -24,7 +24,7 @@ quadratic_loss = PolynomialProblem(
 for points in (2, 3, 5, 9, 17):
     grid = quadratic_loss.discretize(points)
     qcc = check_qcc(grid)
-    convex = check_argmax_convexity(grid)
+    convex = check_argmax_convexity(grid, qcc)
     print(
         f"{points:>2} grid points: actions "
         f"{[str(a) for a in grid.actions[:4]]}{'...' if points > 4 else ''} "

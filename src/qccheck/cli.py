@@ -39,6 +39,9 @@ OUT_DIR_ENV = "QCCHECK_OUT_DIR"
 # Largest belief grid `--grid` may ask for, in beliefs per problem.  A larger
 # sweep would not finish in useful time, so it is refused before any work.
 _MAX_GRID_BELIEFS = 10**6
+# Largest `discretize --grid-points` output, in payoff cells (points x
+# states); refused before any discretization for the same reason.
+_MAX_PAYOFF_CELLS = 10**6
 
 
 class InputFileError(ValueError):
@@ -292,7 +295,7 @@ def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict
     with _stage("qcc"):
         qcc_verdict = check_qcc(surviving)
     with _stage("convexity"):
-        convexity_verdict = check_argmax_convexity(surviving)
+        convexity_verdict = check_argmax_convexity(surviving, qcc_verdict)
     with _stage("nesting"):
         nesting = check_nesting(surviving)
     with _stage("lsc"):
@@ -432,7 +435,7 @@ def _harness_record(problem: DecisionProblem, grid: int) -> dict:
     with _stage("qcc"):
         qcc_verdict = check_qcc(surviving)
     with _stage("convexity"):
-        convexity_verdict = check_argmax_convexity(surviving)
+        convexity_verdict = check_argmax_convexity(surviving, qcc_verdict)
     agreement = qcc_verdict.holds == convexity_verdict.holds
     with _stage("nesting"):
         nesting = check_nesting(surviving)
@@ -537,7 +540,9 @@ _PROBLEM_COMMANDS = {
     ),
     "check-convexity": (
         "optimal-action convexity only",
-        lambda problem: {"convexity": _convexity_json(check_argmax_convexity(problem))},
+        lambda problem: {
+            "convexity": _convexity_json(check_argmax_convexity(problem, check_qcc(problem)))
+        },
     ),
     "eliminate": (
         "iterated weak-dominance elimination",
@@ -610,6 +615,12 @@ def _dispatch(args: argparse.Namespace) -> dict:
         poly = polynomial_from_json(_load_json(args.polyfile))
         if args.grid_points < 2:
             raise InputFileError("--grid-points must be at least 2")
+        cells = args.grid_points * len(poly.states)
+        if cells > _MAX_PAYOFF_CELLS:
+            raise InputFileError(
+                f"--grid-points {args.grid_points} over {len(poly.states)} states is "
+                f"{cells} payoff cells; the limit is {_MAX_PAYOFF_CELLS}"
+            )
         return problem_to_json(poly.discretize(args.grid_points))
     if args.command == "verify-props":
         _check_grid(args.grid, args.max_states)

@@ -131,7 +131,7 @@ def _duality_check(
     weights = [Fraction(0)] * problem.num_actions
     for j, w in zip(others, result.witness.coordinates):
         weights[j] = w
-    _verify_mixture(problem, action_index, tuple(weights))
+    _verify_mixture(problem, action_index, tuple((j, w) for j, w in enumerate(weights) if w))
     return tuple(weights), None
 
 
@@ -172,21 +172,22 @@ def _interior_witness(
 
 
 def _verify_mixture(
-    problem: DecisionProblem, action_index: int, weights: tuple[Fraction, ...]
+    problem: DecisionProblem, target: int, mixture: tuple[tuple[int, Fraction], ...]
 ) -> None:
-    if weights[action_index] != 0 or sum(weights) != 1 or any(w < 0 for w in weights):
+    """Check that a mixture, as (action, weight) pairs with every weight
+    positive and the target left out, matches or beats the target in every
+    state."""
+    if (any(j == target or w <= 0 for j, w in mixture)
+            or sum((w for _, w in mixture), Fraction(0)) != 1):
         raise InternalInvariantError(
-            "dominance-mixture-shape", f"bad mixture {weights} for action {action_index}"
+            "dominance-mixture-shape", f"bad mixture {mixture} for action {target}"
         )
     for state in range(problem.num_states):
-        mixed = sum(
-            (w * problem.payoff[j][state] for j, w in enumerate(weights)), Fraction(0)
-        )
-        if mixed < problem.payoff[action_index][state]:
+        mixed = sum((w * problem.payoff[j][state] for j, w in mixture), Fraction(0))
+        if mixed < problem.payoff[target][state]:
             raise InternalInvariantError(
                 "dominance-mixture-substitution",
-                f"mixture {weights} fails to dominate action {action_index} "
-                f"in state {state}",
+                f"mixture {mixture} fails to dominate action {target} in state {state}",
             )
 
 
@@ -245,8 +246,9 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
             )
         witnesses.append(witness)
 
+    # each stored certificate, re-checked against the input payoffs
     for removal in removed:
-        _verify_removal(problem, removal)
+        _verify_mixture(problem, removal.original_index, removal.mixture)
 
     return EliminationReport(
         surviving=surviving,
@@ -254,23 +256,3 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
         removed=tuple(removed),
         witnesses=tuple(witnesses),
     )
-
-
-def _verify_removal(problem: DecisionProblem, removal: RemovedAction) -> None:
-    """Re-check a stored elimination certificate against the original payoffs."""
-    total = sum((w for _, w in removal.mixture), Fraction(0))
-    if total != 1 or any(w <= 0 for _, w in removal.mixture):
-        raise InternalInvariantError(
-            "elimination-mixture-shape",
-            f"stored mixture {removal.mixture} is not a probability vector",
-        )
-    for state in range(problem.num_states):
-        mixed = sum(
-            (w * problem.payoff[j][state] for j, w in removal.mixture), Fraction(0)
-        )
-        if mixed < problem.payoff[removal.original_index][state]:
-            raise InternalInvariantError(
-                "elimination-mixture-substitution",
-                f"stored mixture for removed action {removal.original_index} "
-                f"fails in state {state}",
-            )

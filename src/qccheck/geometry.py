@@ -10,12 +10,13 @@ Three related views of the same arrangement of affine payoff differences:
   single comparison against its immediate successor.
 
 A gap at a belief is a strict dip there: if i and k are optimal and j is
-not, then u_i - u_j > 0 and u_k - u_j > 0.  So convexity first asks, in the
-plane, whether some dip (i, j, k) with i < j < k is possible at all, and
-solves an exact LP only for the pairs (i, k) where one is.  The nesting
-questions are two-row systems too, decided in the plane with no LP
-(`exactlp.planar_feasible`).  Every reported failure belief is re-verified
-by substitution.
+not, then u_i - u_j > 0 and u_k - u_j > 0.  So convexity reads the
+unimodality verdict of `check_qcc`, which has already decided every dip:
+when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
+below i0 can have one.  An exact LP is solved only for the pairs from i0
+on.  The nesting questions are two-row systems, decided in the plane with
+no LP (`exactlp.planar_feasible`).  Every reported failure belief is
+re-verified by substitution.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 from .errors import InternalInvariantError
 from .exactlp import LinearSystem, planar_feasible, solve
 from .problems import Belief, DecisionProblem
-from .qcc import dip_system
+from .qcc import QccVerdict
 
 
 @dataclass(frozen=True)
@@ -85,28 +86,29 @@ def indifference_hyperplane(
     return tuple(a - b for a, b in zip(problem.payoff[i], problem.payoff[j]))
 
 
-def check_argmax_convexity(problem: DecisionProblem) -> ConvexityVerdict:
+def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> ConvexityVerdict:
     """Decide whether the optimal-action set is a contiguous index range at
     every belief in the closed simplex.
 
-    A pair i < k is skipped when no dip (i, j, k) with j between them is
-    feasible: a gap is a dip, so no belief skips a middle action there.
-    Each other pair gets one LP: on the face where i and k are both optimal
-    (one equality plus global weak comparisons), maximize the sum of the
-    gaps u_i - u_j over the actions j strictly between.  Every gap is
-    nonnegative there, so the optimum is positive exactly when some belief
-    skips a middle action.  The first such pair in lexicographic order is
-    reported, with j the lowest action between i and k that is not optimal
-    at the maximizer.
+    `qcc` must be `check_qcc`'s verdict for the same problem.  A gap is a
+    dip, so a holding verdict means convexity holds, and a verdict failing
+    at (i0, j0, k0) means no pair i < i0 has a gap: `check_qcc` found every
+    triple below i0 infeasible.  Each pair i < k with i >= i0 gets one LP:
+    on the face where i and k are both optimal (one equality plus global
+    weak comparisons), maximize the sum of the gaps u_i - u_j over the
+    actions j strictly between.  Every gap is nonnegative there, so the
+    optimum is positive exactly when some belief skips a middle action.  The
+    first such pair in lexicographic order is reported, with j the lowest
+    action between i and k that is not optimal at the maximizer.
     """
+    if qcc.holds:
+        return ConvexityVerdict(holds=True, counterexample=None)
+    assert qcc.counterexample is not None
     m = problem.num_actions
-    for i in range(m - 2):
+    for i in range(qcc.counterexample.triple[0], m - 2):
         optimal_rows = [(indifference_hyperplane(problem, i, other), ">=", 0)
                         for other in range(m) if other != i]
         for k in range(i + 2, m):
-            if not any(planar_feasible(dip_system(problem, i, j, k)).open_feasible
-                       for j in range(i + 1, k)):
-                continue
             middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
             rows = [(indifference_hyperplane(problem, i, k), "==", 0)] + optimal_rows
             objective = [sum(column) for column in zip(*middle)]

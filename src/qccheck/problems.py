@@ -146,10 +146,6 @@ class DecisionProblem:
     def num_states(self) -> int:
         return len(self.states)
 
-    def row(self, action_index: int) -> tuple[Fraction, ...]:
-        self._check_action(action_index)
-        return self.payoff[action_index]
-
     def column(self, state_index: int) -> tuple[Fraction, ...]:
         if not 0 <= state_index < self.num_states:
             raise IndexError(f"state index {state_index} out of range")

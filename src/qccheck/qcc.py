@@ -50,19 +50,6 @@ def unimodality_profile(
     return values, is_unimodal(values)
 
 
-def dip_system(problem: DecisionProblem, i: int, j: int, k: int) -> LinearSystem:
-    """The beliefs where j is strictly worse than both i and k:
-    u_i - u_j > 0 and u_k - u_j > 0."""
-    row_i, row_j, row_k = problem.payoff[i], problem.payoff[j], problem.payoff[k]
-    return LinearSystem.build(
-        problem.num_states,
-        rows=[
-            (tuple(a - b for a, b in zip(row_i, row_j)), ">", 0),
-            (tuple(a - b for a, b in zip(row_k, row_j)), ">", 0),
-        ],
-    )
-
-
 def check_qcc(problem: DecisionProblem) -> QccVerdict:
     """Decide whether every belief yields a unimodal payoff sequence.
 
@@ -73,7 +60,10 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
     count = 0
     for i, j, k in itertools.combinations(range(problem.num_actions), 3):
         count += 1
-        result = planar_feasible(dip_system(problem, i, j, k))
+        # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
+        rows = [(tuple(a - b for a, b in zip(problem.payoff[outer], problem.payoff[j])), ">", 0)
+                for outer in (i, k)]
+        result = planar_feasible(LinearSystem.build(problem.num_states, rows=rows))
         if result.open_feasible:
             belief = result.witness
             assert belief is not None

@@ -148,7 +148,7 @@ def corpus() -> CorpusResults:
                 results.witness_soundness_failures += 1
 
         qcc_verdict = check_qcc(surviving)
-        convexity_verdict = check_argmax_convexity(surviving)
+        convexity_verdict = check_argmax_convexity(surviving, qcc_verdict)
 
         # criterion 1: the equivalence after elimination and certification
         if qcc_verdict.holds != convexity_verdict.holds:
@@ -195,9 +195,11 @@ def corpus() -> CorpusResults:
         if check_qcc(_scaled_shifted(surviving, alpha, offsets)).holds != qcc_verdict.holds:
             results.scaling_violations += 1
         reversed_problem = _reversed_actions(surviving)
+        reversed_qcc = check_qcc(reversed_problem)
         if (
-            check_qcc(reversed_problem).holds != qcc_verdict.holds
-            or check_argmax_convexity(reversed_problem).holds != convexity_verdict.holds
+            reversed_qcc.holds != qcc_verdict.holds
+            or check_argmax_convexity(reversed_problem, reversed_qcc).holds
+            != convexity_verdict.holds
         ):
             results.reversal_violations += 1
         relabeling_again, _ = relabel_for_lsc(relabel_for_lsc(surviving)[1])
@@ -265,9 +267,10 @@ def test_criterion_5_two_state_oracle_agreement():
         seed = stream.next_uint64()
         problem = random_problem(seed, actions, 2, 10)
         oracle_verdict = exact_check_two_state(problem)
+        qcc_verdict = check_qcc(problem)
         solver_verdict = (
-            check_qcc(problem).holds,
-            check_argmax_convexity(problem).holds,
+            qcc_verdict.holds,
+            check_argmax_convexity(problem, qcc_verdict).holds,
         )
         if oracle_verdict != solver_verdict:
             disagreements += 1
@@ -307,7 +310,7 @@ def test_criterion_8_hand_verified_fixtures():
 
     start = time.perf_counter()
     qcc1 = check_qcc(p1)
-    convex1 = check_argmax_convexity(p1)
+    convex1 = check_argmax_convexity(p1, qcc1)
     nesting1 = check_nesting(p1)
     lsc1 = check_lsc(p1, "relaxed")
     p1_ok = (
@@ -321,7 +324,7 @@ def test_criterion_8_hand_verified_fixtures():
 
     start = time.perf_counter()
     qcc2 = check_qcc(p2)
-    convex2 = check_argmax_convexity(p2)
+    convex2 = check_argmax_convexity(p2, qcc2)
     p2_ok = (
         not qcc2.holds
         and not convex2.holds

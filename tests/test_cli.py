@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import qccheck.cli as cli_module
-from qccheck import Belief, InternalInvariantError, unimodality_profile
+import qccheck.geometry as geometry_module
+import qccheck.qcc as qcc_module
+from qccheck import Belief, InternalInvariantError, PolynomialProblem, unimodality_profile
 from qccheck.cli import (
     InputFileError,
     analyze_problem,
@@ -187,6 +189,37 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["qcc"]["holds"] is True
 
+    def test_analyze_convexity_decides_no_two_row_system(self, tmp_path, capsys, monkeypatch):
+        # convexity reads the unimodality verdict instead of deciding dips again
+        inside, decided = [], []
+        for module in (geometry_module, qcc_module):
+            planar = module.planar_feasible
+
+            def counting(system, planar=planar):
+                decided.append(bool(inside))
+                return planar(system)
+
+            monkeypatch.setattr(module, "planar_feasible", counting)
+        convexity = cli_module.check_argmax_convexity
+
+        def tracked(*args):
+            inside.append(True)
+            try:
+                return convexity(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cli_module, "check_argmax_convexity", tracked)
+        poly_path = write_json(tmp_path / "poly.json", POLY_DOC)
+        assert main(["discretize", poly_path, "--grid-points", "9"]) == 0
+        problem_path = tmp_path / "grid.json"
+        problem_path.write_text(capsys.readouterr().out)
+        assert main(["analyze", str(problem_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["qcc"]["holds"] and report["convexity"]["holds"]
+        assert report["qcc"]["checked_triples"] == 84
+        assert len(decided) >= 84 and decided.count(True) == 0
+
     def test_out_flag_writes_file(self, tmp_path):
         path = write_json(tmp_path / "p1.json", P1_DOC)
         out = tmp_path / "report.json"
@@ -278,6 +311,22 @@ class TestExitCodes:
         assert captured.err.startswith("qccheck: input error: cannot write ")
         assert str(tmp_path / "missing") in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_oversized_discretize_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(self, grid_points):
+            raise AssertionError("discretized before --grid-points was checked")
+
+        monkeypatch.setattr(PolynomialProblem, "discretize", no_work)
+        path = write_json(tmp_path / "poly.json", POLY_DOC)
+        out = tmp_path / "grid.json"
+        argv = ["discretize", path, "--grid-points", "1000000000", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("qccheck: input error: --grid-points")
+        assert len(captured.err.strip().splitlines()) == 1
+        # the limit counts payoff cells: 500,001 points over 2 states is over it
+        assert main(["discretize", path, "--grid-points", "500001"]) == 1
 
     def test_internal_error_emits_diagnostic_and_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an oracle/solver contradiction by monkeypatching the grid dip

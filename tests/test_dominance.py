@@ -8,6 +8,7 @@ from qccheck import (
     Belief,
     DecisionProblem,
     GridSpec,
+    InternalInvariantError,
     PolynomialProblem,
     grid_beliefs,
     iterated_elimination,
@@ -15,7 +16,7 @@ from qccheck import (
     random_problem,
     unique_optimality_witness,
 )
-from qccheck.dominance import _duality_check
+from qccheck.dominance import _duality_check, _verify_mixture
 
 
 def mixture_dominates(problem, action_index, weights):
@@ -149,6 +150,30 @@ class TestWitnessFromFarkasRay:
         assert _duality_check(problem, 0)[0] == (F(0), F(1), F(0))
         assert _duality_check(problem, 1)[0] == (F(1), F(0), F(0))
         assert self.check_both_routes(problem) == 1
+
+
+class TestMixtureVerifier:
+    # action 2 is matched by the even mix of 0 and 1; every bad mixture below
+    # would pass the state-by-state comparison but for its one defect
+    PROBLEM = DecisionProblem.from_matrix([[4, 0], [0, 4], [2, 2], [-4, -4]])
+
+    def test_dominating_mixture_passes(self):
+        _verify_mixture(self.PROBLEM, 2, ((0, F(1, 2)), (1, F(1, 2))))
+
+    @pytest.mark.parametrize(
+        "mixture, invariant",
+        [
+            (((0, F(1, 3)), (1, F(2, 3))), "dominance-mixture-substitution"),
+            (((2, F(1)),), "dominance-mixture-shape"),
+            (((0, F(2, 3)), (1, F(2, 3))), "dominance-mixture-shape"),
+            (((0, F(3, 4)), (1, F(3, 4)), (3, F(-1, 2))), "dominance-mixture-shape"),
+        ],
+        ids=["not-dominating", "contains-target", "sum-above-one", "negative-weight"],
+    )
+    def test_bad_mixture_raises(self, mixture, invariant):
+        with pytest.raises(InternalInvariantError) as raised:
+            _verify_mixture(self.PROBLEM, 2, mixture)
+        assert raised.value.invariant == invariant
 
 
 class TestIteratedElimination:

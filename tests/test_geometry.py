@@ -31,13 +31,6 @@ def _triple_gap(problem, i, j, k):
     return strict_feasible(LinearSystem.build(problem.num_states, rows)).open_feasible
 
 
-def _dip_feasible(problem, i, j, k):
-    """Reference dip LP: j strictly below both i and k somewhere."""
-    rows = [(indifference_hyperplane(problem, i, j), ">", 0),
-            (indifference_hyperplane(problem, k, j), ">", 0)]
-    return strict_feasible(LinearSystem.build(problem.num_states, rows)).open_feasible
-
-
 def _counted_solves(monkeypatch):
     calls = []
     solve = geometry.solve
@@ -81,6 +74,14 @@ CONVEXITY_PROBLEMS = [
     _polynomial((0, -1, 0, 1), (1, 0, 2), (0, 1, -1)).discretize(8),
 ]
 
+# check_qcc's first dip (i0, j0, k0) has i0 >= 1, so the pairs below i0 are
+# skipped; convexity holds on the first, fails on the next two, and i0 = 2
+# on the last
+LATE_DIP_PROBLEMS = [
+    random_problem(seed=4300 + n, actions=4 + n % 4, states=2 + n % 3, magnitude=8)
+    for n in [57, 81, 291, 349]
+]
+
 
 class TestIndifferenceHyperplane:
     def test_fixture_rows(self, p1):
@@ -105,7 +106,7 @@ class TestIndifferenceHyperplane:
 
 class TestArgmaxConvexity:
     def test_gap_on_dipping_fixture(self, p2):
-        verdict = check_argmax_convexity(p2)
+        verdict = check_argmax_convexity(p2, check_qcc(p2))
         assert not verdict.holds
         ce = verdict.counterexample
         assert ce.triple == (0, 1, 2)
@@ -113,26 +114,29 @@ class TestArgmaxConvexity:
         assert 0 in optimal and 2 in optimal and 1 not in optimal
 
     def test_holds_on_unimodal_fixture(self, p1):
-        assert check_argmax_convexity(p1).holds
+        assert check_argmax_convexity(p1, check_qcc(p1)).holds
 
     def test_two_actions_trivially_hold(self):
         problem = DecisionProblem.from_matrix([[1, 0], [0, 1]])
-        assert check_argmax_convexity(problem).holds
+        assert check_argmax_convexity(problem, check_qcc(problem)).holds
 
     def test_qcc_implies_convexity_unconditionally(self):
         # forward direction needs no dominance hypothesis: a gap at a belief
-        # is itself a dip, so unimodality everywhere forbids gaps anywhere
+        # is itself a dip, so unimodality everywhere forbids gaps anywhere;
+        # the gaps are decided by the independent per-triple strict LPs
+        holding = 0
         for seed in range(25):
             problem = random_problem(
                 seed=880 + seed, actions=2 + seed % 4, states=2 + seed % 3, magnitude=7
             )
             if check_qcc(problem).holds:
-                assert check_argmax_convexity(problem).holds
+                holding += 1
+                assert _reference_first_triple(problem) is None
+        assert holding > 0
 
-
-    @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS)
+    @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS + LATE_DIP_PROBLEMS)
     def test_matches_the_per_triple_scan(self, problem):
-        verdict = check_argmax_convexity(problem)
+        verdict = check_argmax_convexity(problem, check_qcc(problem))
         reference = _reference_first_triple(problem)
         assert verdict.holds == (reference is None)
         if verdict.holds:
@@ -150,22 +154,33 @@ class TestArgmaxConvexity:
         # pair can have a gap and none is solved
         calls = _counted_solves(monkeypatch)
         problem = _polynomial((0, 0, -1), (0, 1, -1)).discretize(actions)
-        assert check_argmax_convexity(problem).holds
+        assert check_argmax_convexity(problem, check_qcc(problem)).holds
         assert calls == []
 
-    @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS)
+    @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS + LATE_DIP_PROBLEMS)
     def test_one_lp_per_pair_with_a_feasible_dip(self, problem, monkeypatch):
+        # check_qcc found no dip (i, j, k) with i below its first one, so the
+        # pairs below it are skipped; every later pair may have a feasible
+        # dip and gets one LP, up to the reported pair.  A holding verdict
+        # leaves no pair, and no dip is decided again either way.
+        qcc = check_qcc(problem)
         calls = _counted_solves(monkeypatch)
-        verdict = check_argmax_convexity(problem)
+
+        def no_planar(system):
+            raise AssertionError("convexity decided a two-row system")
+
+        monkeypatch.setattr(geometry, "planar_feasible", no_planar)
+        verdict = check_argmax_convexity(problem, qcc)
+        if qcc.holds:
+            assert verdict.holds and calls == []
+            return
+        first = qcc.counterexample.triple[0]
         pairs = [(i, k) for i, k in itertools.combinations(range(problem.num_actions), 2)
-                 if k > i + 1]
+                 if i >= first and k >= i + 2]
         if not verdict.holds:
             i, _, k = verdict.counterexample.triple
             pairs = pairs[: pairs.index((i, k)) + 1]
-        expected = sum(
-            any(_dip_feasible(problem, i, j, k) for j in range(i + 1, k)) for i, k in pairs
-        )
-        assert len(calls) == expected
+        assert len(calls) == len(pairs)
 
 
 class TestNesting:
@@ -251,8 +266,9 @@ class TestEquivalenceTheorem:
                 magnitude=9,
             )
             surviving = iterated_elimination(problem).surviving
-            qcc_holds = check_qcc(surviving).holds
-            convex_holds = check_argmax_convexity(surviving).holds
+            qcc_verdict = check_qcc(surviving)
+            qcc_holds = qcc_verdict.holds
+            convex_holds = check_argmax_convexity(surviving, qcc_verdict).holds
             assert qcc_holds == convex_holds
             agreements += 1
         assert agreements == 60

@@ -121,7 +121,7 @@ class TestOneSidedSoundness:
             if find_grid_dip(problem, spec) is not None:
                 assert not check_qcc(problem).holds
             if find_grid_gap(problem, spec) is not None:
-                assert not check_argmax_convexity(problem).holds
+                assert not check_argmax_convexity(problem, check_qcc(problem)).holds
 
     def test_solver_counterexamples_confirmed_pointwise(self):
         for seed in range(25):
@@ -156,9 +156,10 @@ class TestExactTwoState:
                 seed=12000 + seed, actions=1 + seed % 6, states=2, magnitude=9
             )
             oracle_verdict = exact_check_two_state(problem)
+            qcc_verdict = check_qcc(problem)
             lp_verdict = (
-                check_qcc(problem).holds,
-                check_argmax_convexity(problem).holds,
+                qcc_verdict.holds,
+                check_argmax_convexity(problem, qcc_verdict).holds,
             )
             if oracle_verdict != lp_verdict:
                 disagreements += 1
