@@ -13,7 +13,14 @@ import pytest
 import qccheck.cli as cli_module
 import qccheck.geometry as geometry_module
 import qccheck.qcc as qcc_module
-from qccheck import Belief, InternalInvariantError, PolynomialProblem, unimodality_profile
+from qccheck import (
+    Belief,
+    DecisionProblem,
+    InternalInvariantError,
+    PolynomialProblem,
+    random_problem,
+    unimodality_profile,
+)
 from qccheck.cli import (
     InputFileError,
     analyze_problem,
@@ -446,6 +453,56 @@ class TestHarnessStability:
         qcc_records = [r for r in doc["instances"] if r["qcc_holds"]]
         assert len(qcc_records) == summary["qcc_holding"]
         assert all(r["prop1_agreement"] for r in doc["instances"])
+
+
+def _sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rational_problems():
+    """Seeded problems with rational payoffs whose reports carry segment-point
+    beliefs: four `qcc` witnesses and 57 nesting failures lie on a segment
+    between two point masses."""
+    raw = [random_problem(9000 + s, 4 + s % 3, 3 + s % 6, 1000) for s in range(30)]
+    raw += [random_problem(9000 + s, 5, 3, 1000) for s in range(30)]
+    return [
+        DecisionProblem.from_matrix(
+            [[v / 7 + F(j, 3) for j, v in enumerate(row)] for row in problem.payoff]
+        )
+        for problem in raw
+    ]
+
+
+class TestPinnedOutput:
+    """Output digests pinned across commits: a change that keeps every
+    verdict and witness keeps these bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--instances", "150", "--seed", "5", "--max-actions", "7"],
+             "aa7d1fe06e065875f22a7644a2eb02406a9a3e370c957c5c8a156efe779c9073"),
+            (["--instances", "100", "--seed", "11", "--magnitude", "2", "--max-states", "3",
+              "--grid", "8"],
+             "d8eb165a0c97e335c41082992a1f9f676d66fe0d005f12bafe429667e3c60346"),
+        ],
+        ids=["seed-5", "seed-11-grid-8"],
+    )
+    def test_verify_props_digest(self, argv, digest, capsys):
+        assert main(["verify-props", *argv]) == 0
+        assert _sha256(capsys.readouterr().out) == digest
+
+    def test_analyze_reports_digest(self):
+        reports = []
+        for problem in _rational_problems():
+            report = analyze_problem(problem, 4)
+            del report["timing"]
+            reports.append(report)
+        assert _sha256(json.dumps(reports, sort_keys=True)) == (
+            "410a68ff8769127b9dd3d0293be1331b561f4a24b7044657775923ba34eb139a"
+        )
 
 
 class TestTracedBenchmarkSites:
