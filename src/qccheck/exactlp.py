@@ -32,7 +32,8 @@ segments settle the question: the witness is a point mass or a point on one
 segment.  Otherwise the answer is a Motzkin certificate (Motzkin 1936):
 multipliers (alpha, beta) >= 0, positive on a strict row, with
 alpha a_s + beta b_s <= 0 for every state.  Both answers are re-verified by
-substitution, the certificate by the same check as a Farkas ray.
+substitution on the points, which may be integers: one positive scale
+factor leaves the witness unchanged, as its ends are roots -u / (v - u).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence, Union
+from numbers import Rational
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import InternalInvariantError
 from .problems import Belief, RationalLike, as_fraction
@@ -80,11 +82,6 @@ class LinearRow:
         return lhs > self.rhs
 
 
-# Named by string: typing caches every Union it builds, and a cached class
-# would keep each imported copy of this module alive after it is dropped.
-RowLike = Union["LinearRow", tuple]
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """A constraint system over the standard simplex in `dimension` coordinates.
@@ -119,20 +116,14 @@ class LinearSystem:
     def build(
         cls,
         dimension: int,
-        rows: Iterable[RowLike] = (),
+        rows: Iterable[tuple] = (),
         objective: Optional[Sequence[RationalLike]] = None,
         interior_required: bool = False,
     ) -> "LinearSystem":
         """Construct a system from loose (coefficients, relation, rhs) triples."""
-        built = []
-        for row in rows:
-            if isinstance(row, LinearRow):
-                built.append(row)
-            else:
-                coeffs, relation, rhs = row
-                built.append(LinearRow(tuple(coeffs), relation, rhs))
+        built = tuple(LinearRow(tuple(coeffs), relation, rhs) for coeffs, relation, rhs in rows)
         obj = None if objective is None else tuple(objective)
-        return cls(dimension, tuple(built), obj, interior_required)
+        return cls(dimension, built, obj, interior_required)
 
     @property
     def has_strict_rows(self) -> bool:
@@ -150,9 +141,10 @@ class LPResult:
 
     For `strict_feasible`, `slack` holds the maximized margin t*; the open
     system is feasible exactly when t* > 0, and `witness` is present only in
-    that case.  When `solve` or `planar_feasible` finds a system infeasible,
-    `farkas` holds the row multipliers that certify it (see the module
-    docstring), aligned with the system's rows; it is None otherwise.
+    that case.  When `solve` finds a system infeasible, `farkas` holds the
+    row multipliers that certify it (see the module docstring), aligned with
+    the system's rows; from `planar_feasible` it holds the Motzkin
+    (alpha, beta) of the two rows.  It is None otherwise.
     """
 
     status: LPStatus
@@ -360,7 +352,7 @@ def solve(system: LinearSystem) -> LPResult:
         _verify_farkas(system, farkas)
         return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
     witness = Belief(tuple(x[: system.dimension]))
-    _verify_witness(system, witness, strict_must_hold=False)
+    _verify_witness(system, witness)
     if system.objective is not None:
         attained = sum(
             (c * p for c, p in zip(system.objective, witness.coordinates)), _ZERO
@@ -391,46 +383,44 @@ def strict_feasible(system: LinearSystem) -> LPResult:
     if t_star <= 0:
         return LPResult(LPStatus.OPTIMAL, value=t_star, slack=t_star)
     witness = Belief(tuple(x[: system.dimension]))
-    _verify_witness(system, witness, strict_must_hold=True)
+    _verify_witness(system, witness)
     return LPResult(LPStatus.OPTIMAL, value=t_star, witness=witness, slack=t_star)
 
 
-def planar_feasible(system: LinearSystem) -> LPResult:
-    """Decide a.x > 0 and b.x > 0 (or b.x >= 0) over the simplex in the plane.
+def planar_feasible(points: Sequence[tuple[Rational, Rational]], strict: bool) -> LPResult:
+    """Decide a.x > 0 and b.x > 0 (or b.x >= 0 when not `strict`) over the
+    simplex, in the plane of the points (a_s, b_s), one per state.
 
-    The system must have exactly two rows, both with rhs 0, the first strict
-    and the second strict or weak, and must not require interiority.  The
-    result carries either a witness (a point mass, or a point on the segment
-    between two point masses) or a Motzkin certificate in `farkas`; both are
-    re-verified by substitution.  See the module docstring.
+    The result carries either a witness (a point mass, or a point on the
+    segment between two point masses) or a Motzkin certificate in `farkas`;
+    both are re-verified by substitution on the points.  See the module
+    docstring.
     """
-    if (
-        len(system.rows) != 2
-        or system.interior_required
-        or system.rows[0].relation != ">"
-        or system.rows[1].relation not in (">", ">=")
-        or any(row.rhs != 0 for row in system.rows)
-    ):
-        raise ValueError("planar_feasible needs rows a.x > 0 and b.x > 0 or b.x >= 0")
-    first, second = system.rows
-    points = tuple(zip(first.coefficients, second.coefficients))
-    strict = second.relation == ">"
     witness = _planar_witness(points, strict)
     if witness is not None:
-        _verify_witness(system, witness, strict_must_hold=True)
+        a, b = (sum(p[r] * x for p, x in zip(points, witness.coordinates)) for r in (0, 1))
+        if not (a > 0 and (b > 0 or (b == 0 and not strict))):
+            raise InternalInvariantError(
+                "lp-witness-substitution",
+                f"witness {witness.coordinates} gives ({a}, {b}) for {points}",
+            )
         return LPResult(LPStatus.OPTIMAL, witness=witness)
     farkas = _motzkin_multipliers(points, strict)
     if farkas is None:
         raise InternalInvariantError(
             "lp-planar-alternative", f"neither a witness nor a certificate for {points}"
         )
-    _verify_farkas(system, farkas)
+    alpha, beta = farkas
+    if min(alpha, beta) < 0 or not (alpha > 0 or (strict and beta > 0)) or any(
+        alpha * a + beta * b > 0 for a, b in points
+    ):
+        raise InternalInvariantError(
+            "lp-farkas-substitution", f"multipliers {farkas} do not separate {points}"
+        )
     return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
 
 
-def _planar_witness(
-    points: Sequence[tuple[Fraction, Fraction]], strict: bool
-) -> Optional[Belief]:
+def _planar_witness(points: Sequence[tuple[Rational, Rational]], strict: bool) -> Optional[Belief]:
     """A belief whose image lies in the quadrant, from the point masses first
     and then the segments; the middle of the segment's feasible interval."""
     n = len(points)
@@ -453,7 +443,7 @@ def _planar_witness(
 
 
 def _segment_interval(
-    constraints: Iterable[tuple[Fraction, Fraction, bool]]
+    constraints: Iterable[tuple[Rational, Rational, bool]]
 ) -> Optional[tuple[Fraction, Fraction]]:
     """The closure [lo, hi] of the set of lambda in [0, 1] with
     (1 - lambda) u + lambda v > 0 (or >= 0 when not strict) for every
@@ -465,7 +455,7 @@ def _segment_interval(
             if u < 0 or (u == 0 and strict):
                 return None
             continue
-        root = -u / slope
+        root = Fraction(-u, slope)  # exact on ints, where -u / slope is a float
         if slope > 0 and (root > lo or (root == lo and strict)):
             lo, lo_open = root, strict
         elif slope < 0 and (root < hi or (root == hi and strict)):
@@ -476,8 +466,8 @@ def _segment_interval(
 
 
 def _motzkin_multipliers(
-    points: Sequence[tuple[Fraction, Fraction]], strict: bool
-) -> Optional[tuple[Fraction, Fraction]]:
+    points: Sequence[tuple[Rational, Rational]], strict: bool
+) -> Optional[tuple[Rational, Rational]]:
     """(alpha, beta) >= 0 with alpha a_s + beta b_s <= 0 for every point,
     alpha > 0 when only the first row is strict and (alpha, beta) != 0
     otherwise; the candidates are the axes and the normals of the lines
@@ -490,46 +480,36 @@ def _motzkin_multipliers(
     return None
 
 
-def _verify_witness(system: LinearSystem, witness: Belief, strict_must_hold: bool) -> None:
+def _verify_witness(system: LinearSystem, witness: Belief) -> None:
     """Exact substitution check of a solver witness against the original rows."""
     for row in system.rows:
-        if row.relation == ">" and not strict_must_hold:
-            continue
         if not row.satisfied_by(witness.coordinates):
             raise InternalInvariantError(
                 "lp-witness-substitution",
                 f"witness {witness.coordinates} violates row "
                 f"{row.coefficients} {row.relation} {row.rhs}",
             )
-    if strict_must_hold and system.interior_required and not witness.is_interior:
+    if system.interior_required and not witness.is_interior:
         raise InternalInvariantError(
             "lp-witness-interior", f"witness {witness.coordinates} is not interior"
         )
 
 
 def _verify_farkas(system: LinearSystem, farkas: tuple[Fraction, ...]) -> None:
-    """Exact substitution check of an infeasibility certificate: nonnegative
-    on inequality rows, and max_k sum_r lambda_r c_r[k] < sum_r lambda_r rhs_r.
-    A system with strict rows needs a positive multiplier on one of them,
-    and then <= suffices: the combined row is strict at every solution."""
+    """Exact substitution check of an infeasibility certificate for a weak
+    system: nonnegative on `>=` rows, and
+    max_k sum_r lambda_r c_r[k] < sum_r lambda_r rhs_r."""
     if any(lam < 0 for lam, row in zip(farkas, system.rows) if row.relation != "=="):
         raise InternalInvariantError(
             "lp-farkas-substitution", f"multipliers {farkas} are negative on an inequality row"
-        )
-    strict = system.has_strict_rows
-    if strict and not any(
-        lam > 0 for lam, row in zip(farkas, system.rows) if row.relation == ">"
-    ):
-        raise InternalInvariantError(
-            "lp-farkas-substitution", f"multipliers {farkas} are zero on every strict row"
         )
     bound = sum((lam * row.rhs for lam, row in zip(farkas, system.rows)), _ZERO)
     top = max(
         sum((lam * row.coefficients[k] for lam, row in zip(farkas, system.rows)), _ZERO)
         for k in range(system.dimension)
     )
-    if top > bound or (top == bound and not strict):
+    if top >= bound:
         raise InternalInvariantError(
             "lp-farkas-substitution",
-            f"multipliers {farkas} reach {top} on a vertex, above or at {bound}",
+            f"multipliers {farkas} reach {top} on a vertex, at or above {bound}",
         )

@@ -15,8 +15,9 @@ unimodality verdict of `check_qcc`, which has already decided every dip:
 when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
 below i0 can have one.  An exact LP is solved only for the pairs from i0
 on.  The nesting questions are two-row systems, decided in the plane with
-no LP (`exactlp.planar_feasible`).  Every reported failure belief is
-re-verified by substitution.
+no LP (`exactlp.planar_feasible`) on points read off the payoffs scaled
+once to integers (`problems.integer_payoff`).  Every reported failure
+belief is re-verified by substitution on the exact payoffs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError
 from .exactlp import LinearSystem, planar_feasible, solve
-from .problems import Belief, DecisionProblem
+from .problems import Belief, DecisionProblem, integer_payoff
 from .qcc import QccVerdict
 
 
@@ -143,17 +144,15 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
     operation also runs on anything else, as a diagnostic of how the
     structure breaks.
     """
+    scaled = integer_payoff(problem)
     chain_failures = []
     region_failures = []
     for i in range(problem.num_actions - 2):
-        adjacent = indifference_hyperplane(problem, i, i + 1)
-        successor = indifference_hyperplane(problem, i + 1, i + 2)
-        belief = _beats_without(problem, adjacent, successor, "nesting-chain")
+        belief = _beats_without(problem, scaled, (i, i + 1), (i + 1, i + 2), "nesting-chain")
         if belief is not None:
             chain_failures.append(NestingFailure(i, belief))
         for j in range(i + 2, problem.num_actions):
-            comparison = indifference_hyperplane(problem, i, j)
-            belief = _beats_without(problem, adjacent, comparison, "nesting-region")
+            belief = _beats_without(problem, scaled, (i, i + 1), (i, j), "nesting-region")
             if belief is not None:
                 region_failures.append(RegionFailure(i, j, belief))
 
@@ -167,23 +166,25 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
 
 def _beats_without(
     problem: DecisionProblem,
-    positive: tuple[Fraction, ...],
-    nonpositive: tuple[Fraction, ...],
+    scaled: list[list[int]],
+    positive: tuple[int, int],
+    nonpositive: tuple[int, int],
     invariant: str,
 ) -> Optional[Belief]:
-    """A belief where `positive` is > 0 and `nonpositive` is <= 0, re-verified
-    by substitution, or None when the simplex has no such belief."""
-    system = LinearSystem.build(
-        problem.num_states,
-        rows=[(positive, ">", 0), (tuple(-c for c in nonpositive), ">=", 0)],
-    )
-    result = planar_feasible(system)
+    """A belief where u_p - u_q > 0 for (p, q) = `positive` and
+    u_r - u_s <= 0 for (r, s) = `nonpositive`, decided on the integer payoffs
+    `scaled` and re-verified by substitution on the exact ones, or None when
+    the simplex has no such belief."""
+    (p, q), (r, s) = positive, nonpositive
+    points = [(up - uq, us - ur)
+              for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
+    result = planar_feasible(points, strict=False)
     if not result.open_feasible:
         return None
     belief = result.witness
     assert belief is not None
-    pos = sum((c * p for c, p in zip(positive, belief.coordinates)), Fraction(0))
-    neg = sum((c * p for c, p in zip(nonpositive, belief.coordinates)), Fraction(0))
+    value = problem.expected_payoff
+    pos, neg = value(p, belief) - value(q, belief), value(r, belief) - value(s, belief)
     if not (pos > 0 and neg <= 0):
         raise InternalInvariantError(
             invariant,

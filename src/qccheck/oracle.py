@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .problems import Belief, DecisionProblem, is_contiguous, is_unimodal
+from .problems import Belief, DecisionProblem, integer_payoff, is_contiguous, is_unimodal
 
 
 @dataclass(frozen=True)
@@ -62,24 +62,12 @@ def grid_beliefs(spec: GridSpec) -> Iterator[Belief]:
         )
 
 
-def _integer_payoff(problem: DecisionProblem) -> list[list[int]]:
-    """Payoff matrix scaled by the common denominator of all entries.
-
-    Comparisons between expected payoffs are invariant under a positive
-    common factor, so grid scans can run in plain integers.
-    """
-    scale = math.lcm(
-        *(value.denominator for row in problem.payoff for value in row)
-    )
-    return [[int(value * scale) for value in row] for row in problem.payoff]
-
-
 def _grid_search(problem: DecisionProblem, spec: GridSpec, first_triple):
     """Walk the grid in `grid_beliefs` order and return the first belief at
     which `first_triple` finds a triple in the integer payoff profile."""
     if spec.dimension != problem.num_states:
         raise ValueError("grid dimension does not match the state count")
-    scaled = _integer_payoff(problem)
+    scaled = integer_payoff(problem)
     for numerators in _compositions(spec.denominator, spec.dimension):
         values = [
             sum(m * u for m, u in zip(numerators, row)) for row in scaled

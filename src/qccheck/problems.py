@@ -13,6 +13,7 @@ sign patterns, and contiguity of index sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
@@ -281,6 +282,19 @@ class PolynomialProblem:
             for a in actions
         )
         return DecisionProblem(actions, self.states, payoff)
+
+
+def integer_payoff(problem: DecisionProblem) -> list[list[int]]:
+    """Payoff matrix scaled by the common denominator of all entries.
+
+    Every comparison between expected payoffs, and every sign of a payoff
+    difference, survives one positive common factor, so the planar
+    decisions and the grid walk run on these plain integers.
+    """
+    scale = math.lcm(
+        *(value.denominator for row in problem.payoff for value in row)
+    )
+    return [[int(value * scale) for value in row] for row in problem.payoff]
 
 
 def is_unimodal(values: Sequence[Fraction]) -> bool:

@@ -4,7 +4,8 @@ A problem fails exactly when some belief produces a strict interior dip in
 the action-indexed expected-payoff sequence.  Each candidate dip pattern
 (i, j, k) is a pair of strict linear inequalities in the belief,
 u_i - u_j > 0 and u_k - u_j > 0, decided exactly in the plane of the points
-(u_i - u_j, u_k - u_j) over the states (`exactlp.planar_feasible`).  A
+(u_i - u_j, u_k - u_j) over the states (`exactlp.planar_feasible`), on the
+payoffs scaled once to integers (`problems.integer_payoff`).  A
 feasible pattern yields a counterexample belief that is re-verified
 pointwise before being reported; an infeasible one comes with a verified
 Motzkin certificate (alpha, beta): action j weakly dominates the mixture of
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, planar_feasible
-from .problems import Belief, DecisionProblem, is_unimodal
+from .exactlp import planar_feasible
+from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,13 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
     is returned as the counterexample; with fewer than three actions the
     property holds vacuously.
     """
+    scaled = integer_payoff(problem)
     count = 0
     for i, j, k in itertools.combinations(range(problem.num_actions), 3):
         count += 1
         # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
-        rows = [(tuple(a - b for a, b in zip(problem.payoff[outer], problem.payoff[j])), ">", 0)
-                for outer in (i, k)]
-        result = planar_feasible(LinearSystem.build(problem.num_states, rows=rows))
+        points = [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])]
+        result = planar_feasible(points, strict=True)
         if result.open_feasible:
             belief = result.witness
             assert belief is not None

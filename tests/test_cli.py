@@ -202,9 +202,9 @@ class TestCommands:
         for module in (geometry_module, qcc_module):
             planar = module.planar_feasible
 
-            def counting(system, planar=planar):
+            def counting(points, strict, planar=planar):
                 decided.append(bool(inside))
-                return planar(system)
+                return planar(points, strict)
 
             monkeypatch.setattr(module, "planar_feasible", counting)
         convexity = cli_module.check_argmax_convexity

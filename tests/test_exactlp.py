@@ -12,6 +12,7 @@ import pytest
 import qccheck.exactlp as exactlp
 from qccheck import (
     Belief,
+    DecisionProblem,
     GridSpec,
     InternalInvariantError,
     LinearSystem,
@@ -22,6 +23,7 @@ from qccheck import (
     solve,
     strict_feasible,
 )
+from qccheck.problems import integer_payoff
 
 
 def system(dim, rows=(), objective=None, interior=False):
@@ -201,11 +203,17 @@ class TestFarkasRay:
             solve(system(2, rows=[((1, 0), ">=", 2), ((0, 1), "==", F(1, 2))]))
 
 
-def _planar_system(a, b, relation=">"):
-    return system(len(a), rows=[(a, ">", 0), (b, relation, 0)])
+def _points(a, b):
+    return list(zip(a, b))
 
 
-def _random_planar_system(rng, relation):
+def _reference_system(points, strict):
+    """The same question as a `LinearSystem`, for `strict_feasible`."""
+    a, b = zip(*points)
+    return system(len(points), rows=[(a, ">", 0), (b, ">" if strict else ">=", 0)])
+
+
+def _random_points(rng):
     n = rng.next_int(1, 8)
     magnitude = (3, 10, 1000)[rng.next_below(3)]
     a = [F(rng.next_int(-magnitude, magnitude)) for _ in range(n)]
@@ -214,72 +222,93 @@ def _random_planar_system(rng, relation):
         b = [scale * x for x in a]
     else:
         b = [F(rng.next_int(-magnitude, magnitude)) for _ in range(n)]
-    return _planar_system(a, b, relation)
+    return _points(a, b)
 
 
-def certifies_motzkin(sys_r, farkas):
+def certifies_motzkin(points, strict, farkas):
     """The planar certificate, written out apart from the solver: (alpha,
     beta) >= 0, alpha > 0 when only the first row is strict and nonzero
     otherwise, and alpha a_s + beta b_s <= 0 in every state."""
-    (alpha, beta), (first, second) = farkas, sys_r.rows
-    if alpha < 0 or beta < 0 or not (alpha > 0 or (second.relation == ">" and beta > 0)):
+    alpha, beta = farkas
+    if alpha < 0 or beta < 0 or not (alpha > 0 or (strict and beta > 0)):
         return False
-    return all(
-        alpha * a + beta * b <= 0 for a, b in zip(first.coefficients, second.coefficients)
-    )
+    return all(alpha * a + beta * b <= 0 for a, b in points)
 
 
 class TestPlanarFeasible:
     @pytest.mark.parametrize("relation", [">", ">="])
     def test_matches_strict_feasible_on_seeded_systems(self, relation):
-        rng = SplitMix64(7919 if relation == ">" else 7927)
+        strict = relation == ">"
+        rng = SplitMix64(7919 if strict else 7927)
         seen = {True: 0, False: 0}
         for _ in range(700):
-            sys_r = _random_planar_system(rng, relation)
-            result = planar_feasible(sys_r)
-            assert result.open_feasible == strict_feasible(sys_r).open_feasible
+            points = _random_points(rng)
+            reference = _reference_system(points, strict)
+            result = planar_feasible(points, strict)
+            assert result.open_feasible == strict_feasible(reference).open_feasible
             seen[result.open_feasible] += 1
             assert result.slack is None
             if result.open_feasible:
                 assert result.farkas is None
-                assert all(row.satisfied_by(result.witness.coordinates) for row in sys_r.rows)
+                assert all(row.satisfied_by(result.witness.coordinates) for row in reference.rows)
             else:
                 assert result.status is LPStatus.INFEASIBLE and result.witness is None
-                assert certifies_motzkin(sys_r, result.farkas)
+                assert certifies_motzkin(points, strict, result.farkas)
         assert seen[True] > 150 and seen[False] > 150
 
+    def test_integer_points_give_the_fraction_witness(self):
+        # one positive factor scales the seeded points to integers, as
+        # integer_payoff scales a problem; the witness must not move
+        segments = 0
+        for seed, strict in ((7919, True), (7927, False)):
+            rng = SplitMix64(seed)
+            for n in range(700):
+                points = [(a / (1 + s % 4), b / (1 + (s + n) % 6))
+                          for s, (a, b) in enumerate(_random_points(rng))]
+                scaled = integer_payoff(DecisionProblem.from_matrix(points))
+                assert all(type(c) is int for point in scaled for c in point)
+                exact, integral = planar_feasible(points, strict), planar_feasible(scaled, strict)
+                assert integral.witness == exact.witness
+                assert integral.open_feasible == exact.open_feasible
+                if exact.open_feasible:
+                    segments += sum(c != 0 for c in exact.witness.coordinates) == 2
+        assert segments > 50
+
     def test_one_state(self):
-        assert planar_feasible(_planar_system([3], [1])).witness.coordinates == (F(1),)
-        assert planar_feasible(_planar_system([3], [0], ">=")).open_feasible
+        assert planar_feasible(_points([3], [1]), True).witness.coordinates == (F(1),)
+        assert planar_feasible(_points([3], [0]), False).open_feasible
         for a, b, relation, farkas in [
             ([3], [0], ">", (F(0), F(1))),
             ([3], [-2], ">=", (F(2), F(3))),
             ([0], [5], ">", (F(1), F(0))),
             ([0], [0], ">=", (F(1), F(0))),
         ]:
-            result = planar_feasible(_planar_system(a, b, relation))
+            result = planar_feasible(_points(a, b), relation == ">")
             assert not result.open_feasible and result.farkas == farkas
 
     @pytest.mark.parametrize("scale", [F(2), F(0), F(-1)])
     @pytest.mark.parametrize("relation", [">", ">="])
     def test_parallel_rows(self, scale, relation):
         a = (F(-2), F(5), F(1))
-        sys_r = _planar_system(a, tuple(scale * x for x in a), relation)
-        result = planar_feasible(sys_r)
-        assert result.open_feasible == strict_feasible(sys_r).open_feasible
-        assert result.open_feasible == (scale > 0 or (scale == 0 and relation == ">="))
+        strict = relation == ">"
+        points = _points(a, tuple(scale * x for x in a))
+        result = planar_feasible(points, strict)
+        assert result.open_feasible == strict_feasible(
+            _reference_system(points, strict)
+        ).open_feasible
+        assert result.open_feasible == (scale > 0 or (scale == 0 and not strict))
 
     def test_edge_witness_is_the_middle_of_the_open_interval(self):
         # no point mass works; on the segment, 2 - 3 lam > 0 and -1 + 3 lam > 0
         # leave lam in (1/3, 2/3), and either end would make a row zero
-        result = planar_feasible(_planar_system([2, -1], [-1, 2]))
+        result = planar_feasible(_points([2, -1], [-1, 2]), True)
         assert result.witness.coordinates == (F(1, 2), F(1, 2))
-        result = planar_feasible(_planar_system([0, 4, -4], [0, -1, 3], ">="))
+        result = planar_feasible(_points([0, 4, -4], [0, -1, 3]), False)
         assert result.witness.coordinates == (F(0), F(5, 8), F(3, 8))
 
     def test_feasible_set_of_one_closed_point(self):
         # x1 - x2 > 0 and -x2 >= 0 hold only at the point mass on state 0
-        result = planar_feasible(_planar_system([1, 1], [0, -1], ">="))
+        result = planar_feasible(_points([1, 1], [0, -1]), False)
         assert result.witness.coordinates == (F(1), F(0))
         # a segment whose two weak constraints leave the single lam = 1/2
         constraints = ((F(1), F(-1), False), (F(-1), F(1), False))
@@ -287,24 +316,23 @@ class TestPlanarFeasible:
         strict = ((F(1), F(-1), True), (F(-1), F(1), False))
         assert exactlp._segment_interval(strict) is None
 
-    def test_half_open_certificate_needs_a_positive_first_multiplier(self):
+    def test_half_open_certificate_needs_a_positive_first_multiplier(self, monkeypatch):
         # every b_s < 0, so (0, 1) would separate; the half-open system
         # still gets alpha > 0, from the line through (2, -1)
-        sys_r = _planar_system([2, -1], [-1, -3], ">=")
-        result = planar_feasible(sys_r)
-        assert result.farkas == (F(1), F(2))
-        with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            exactlp._verify_farkas(sys_r, (F(0), F(1)))
+        points = _points([2, -1], [-1, -3])
+        assert planar_feasible(points, False).farkas == (F(1), F(2))
         # with both rows strict, beta alone is enough
-        strict = _planar_system([2, -1], [-1, -3])
-        assert planar_feasible(strict).farkas == (F(0), F(1))
+        assert planar_feasible(points, True).farkas == (F(0), F(1))
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: (0, 1))
+        with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
+            planar_feasible(points, False)
 
     def test_corrupted_witness_raises(self, monkeypatch):
         # (1/3, 2/3) lies on the feasible segment but makes the first row zero
         wrong = Belief((F(1, 3), F(2, 3)))
         monkeypatch.setattr(exactlp, "_planar_witness", lambda points, strict: wrong)
         with pytest.raises(InternalInvariantError, match="lp-witness-substitution"):
-            planar_feasible(_planar_system([2, -1], [-1, 2]))
+            planar_feasible(_points([2, -1], [-1, 2]), True)
 
     @pytest.mark.parametrize(
         "bad", [(F(0), F(0)), (F(-1), F(0)), (F(1), F(0)), (F(0), F(1))]
@@ -313,27 +341,12 @@ class TestPlanarFeasible:
         # infeasible: the only state with a > 0 has b < 0
         monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: bad)
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            planar_feasible(_planar_system([1, -1], [-1, 0], ">="))
+            planar_feasible(_points([1, -1], [-1, 0]), False)
 
     def test_missing_alternative_raises(self, monkeypatch):
         monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: None)
         with pytest.raises(InternalInvariantError, match="lp-planar-alternative"):
-            planar_feasible(_planar_system([1, -1], [-1, 0], ">="))
-
-    @pytest.mark.parametrize(
-        "rows, interior",
-        [
-            ([((1, 0), ">", 0)], False),
-            ([((1, 0), ">", 0), ((0, 1), ">", 0), ((1, 1), ">", 0)], False),
-            ([((1, 0), ">", 0), ((0, 1), ">", 1)], False),
-            ([((1, 0), ">=", 0), ((0, 1), ">", 0)], False),
-            ([((1, 0), ">", 0), ((0, 1), "==", 0)], False),
-            ([((1, 0), ">", 0), ((0, 1), ">", 0)], True),
-        ],
-    )
-    def test_rejects_other_shapes(self, rows, interior):
-        with pytest.raises(ValueError):
-            planar_feasible(system(2, rows=rows, interior=interior))
+            planar_feasible(_points([1, -1], [-1, 0]), False)
 
 
 class TestStrictAgainstGridOracle:
