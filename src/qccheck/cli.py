@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -39,6 +40,9 @@ OUT_DIR_ENV = "QCCHECK_OUT_DIR"
 # Largest belief grid `--grid` may ask for, in beliefs per problem.  A larger
 # sweep would not finish in useful time, so it is refused before any work.
 _MAX_GRID_BELIEFS = 10**6
+# Largest action count, in triples C(m, 3), that the commands running
+# elimination or the unimodality check accept; refused for the same reason.
+_MAX_TRIPLES = 551_300
 # Largest `discretize --grid-points` output, in payoff cells (points x
 # states); refused before any discretization for the same reason.
 _MAX_PAYOFF_CELLS = 10**6
@@ -53,14 +57,22 @@ class InputFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_rational(value: Any, where: str) -> Fraction:
+    """Parse one rational, refusing an exponent past the integer digit limit,
+    which `Fraction` would take too long to build, and what `str` cannot write."""
     if isinstance(value, bool) or isinstance(value, float):
         raise InputFileError(
             f"{where}: expected an integer or a rational string, got {value!r}"
         )
     try:
-        return as_fraction(value)
+        exponent = value.lower().partition("e")[2] if isinstance(value, str) else ""
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if exponent and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent beyond the {limit}-digit limit")
+        parsed = as_fraction(value)
+        str(parsed)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputFileError(f"{where}: not a rational: {value!r} ({exc})") from exc
+    return parsed
 
 
 def _states(doc: dict) -> tuple[str, ...]:
@@ -285,10 +297,11 @@ def _oracle_cross_check(
     return dip, gap
 
 
-def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict:
-    """Full pipeline: eliminate, certify, then run every whole-simplex check
-    on the surviving problem."""
-    start = time.perf_counter()
+def _run_stages(
+    problem: DecisionProblem,
+) -> tuple[EliminationReport, QccVerdict, ConvexityVerdict, NestingReport]:
+    """Eliminate, then run the unimodality, convexity and nesting checks on
+    the surviving problem, in that order, each under its stage name."""
     with _stage("elimination"):
         elimination = iterated_elimination(problem)
     surviving = elimination.surviving
@@ -298,6 +311,15 @@ def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict
         convexity_verdict = check_argmax_convexity(surviving, qcc_verdict)
     with _stage("nesting"):
         nesting = check_nesting(surviving)
+    return elimination, qcc_verdict, convexity_verdict, nesting
+
+
+def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict:
+    """Full pipeline: eliminate, certify, then run every whole-simplex check
+    on the surviving problem."""
+    start = time.perf_counter()
+    elimination, qcc_verdict, convexity_verdict, nesting = _run_stages(problem)
+    surviving = elimination.surviving
     with _stage("lsc"):
         relabeling, relabeled = relabel_for_lsc(surviving)
         lsc = _lsc_block(surviving, relabeled)
@@ -429,17 +451,8 @@ def _harness_record(problem: DecisionProblem, grid: int) -> dict:
             for action in range(problem.num_actions):
                 mixed_dominance_certificate(problem, action)
 
-    with _stage("elimination"):
-        elimination = iterated_elimination(problem)
+    elimination, qcc_verdict, convexity_verdict, nesting = _run_stages(problem)
     surviving = elimination.surviving
-    with _stage("qcc"):
-        qcc_verdict = check_qcc(surviving)
-    with _stage("convexity"):
-        convexity_verdict = check_argmax_convexity(surviving, qcc_verdict)
-    agreement = qcc_verdict.holds == convexity_verdict.holds
-    with _stage("nesting"):
-        nesting = check_nesting(surviving)
-    nesting_ok = nesting.chain_holds and nesting.region_identification_holds
     with _stage("lsc"):
         relabeling, relabeled = relabel_for_lsc(surviving)
         relaxed = check_lsc(relabeled, "relaxed")
@@ -454,8 +467,8 @@ def _harness_record(problem: DecisionProblem, grid: int) -> dict:
         "surviving": surviving.num_actions,
         "qcc_holds": qcc_verdict.holds,
         "convexity_holds": convexity_verdict.holds,
-        "prop1_agreement": agreement,
-        "nesting_ok": nesting_ok,
+        "prop1_agreement": qcc_verdict.holds == convexity_verdict.holds,
+        "nesting_ok": nesting.chain_holds and nesting.region_identification_holds,
         "lsc_after_relabel_relaxed": relaxed.holds,
         "lsc_after_relabel_literal": literal.holds,
         "relabel_idempotent": idempotent,
@@ -483,7 +496,7 @@ def _load_json(path: str) -> Any:
         raise InputFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # e.g. an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit or recursion limit
         raise InputFileError(f"{path}: unreadable JSON: {exc}") from exc
 
 
@@ -596,6 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(what: str, count: int, unit: str, limit: int) -> None:
+    """Refuse work of more than `limit` units, before any of it starts."""
+    if count > limit:
+        raise InputFileError(f"{what} is {count} {unit}; the limit is {limit}")
+
+
 def _check_grid(denominator: int, states: int) -> None:
     """Refuse a `--grid` that is negative or exceeds `_MAX_GRID_BELIEFS`
     beliefs over `states` states."""
@@ -603,11 +622,14 @@ def _check_grid(denominator: int, states: int) -> None:
         raise InputFileError(f"--grid must be 0 (off) or positive, got {denominator}")
     if denominator and states > 0:
         count = GridSpec(denominator, states).count
-        if count > _MAX_GRID_BELIEFS:
-            raise InputFileError(
-                f"--grid {denominator} over {states} states is {count} beliefs; "
-                f"the limit is {_MAX_GRID_BELIEFS}"
-            )
+        _check_size(f"--grid {denominator} over {states} states", count, "beliefs",
+                    _MAX_GRID_BELIEFS)
+
+
+def _check_actions(what: str, actions: int) -> None:
+    """Refuse an action count with more than `_MAX_TRIPLES` triples C(m, 3)."""
+    _check_size(f"{what} {actions} actions", math.comb(max(actions, 0), 3), "triples",
+                _MAX_TRIPLES)
 
 
 def _dispatch(args: argparse.Namespace) -> dict:
@@ -615,15 +637,15 @@ def _dispatch(args: argparse.Namespace) -> dict:
         poly = polynomial_from_json(_load_json(args.polyfile))
         if args.grid_points < 2:
             raise InputFileError("--grid-points must be at least 2")
-        cells = args.grid_points * len(poly.states)
-        if cells > _MAX_PAYOFF_CELLS:
-            raise InputFileError(
-                f"--grid-points {args.grid_points} over {len(poly.states)} states is "
-                f"{cells} payoff cells; the limit is {_MAX_PAYOFF_CELLS}"
-            )
-        return problem_to_json(poly.discretize(args.grid_points))
+        _check_size(f"--grid-points {args.grid_points} over {len(poly.states)} states",
+                    args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
+        try:
+            return problem_to_json(poly.discretize(args.grid_points))
+        except ValueError as exc:  # a payoff with more digits than str() writes
+            raise InputFileError(f"discretize output cannot be written: {exc}") from exc
     if args.command == "verify-props":
         _check_grid(args.grid, args.max_states)
+        _check_actions("--max-actions", args.max_actions)
         return run_harness(
             instances=args.instances,
             max_actions=args.max_actions,
@@ -633,6 +655,8 @@ def _dispatch(args: argparse.Namespace) -> dict:
             grid=args.grid,
         )
     problem = problem_from_json(_load_json(args.file))
+    if args.command != "relabel":
+        _check_actions(f"{args.file} with", problem.num_actions)
     if args.command == "analyze":
         _check_grid(args.grid, problem.num_states)
         return analyze_problem(problem, args.grid)

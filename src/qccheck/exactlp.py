@@ -472,7 +472,7 @@ def _motzkin_multipliers(
     alpha > 0 when only the first row is strict and (alpha, beta) != 0
     otherwise; the candidates are the axes and the normals of the lines
     through the origin and each point."""
-    candidates = [(_ONE, _ZERO), (_ZERO, _ONE)] + [(abs(b), abs(a)) for a, b in points]
+    candidates = [(1, 0), (0, 1)] + [(abs(b), abs(a)) for a, b in points]
     for alpha, beta in candidates:
         if alpha > 0 or (strict and beta > 0):
             if all(alpha * a + beta * b <= 0 for a, b in points):

@@ -178,11 +178,9 @@ def _beats_without(
     (p, q), (r, s) = positive, nonpositive
     points = [(up - uq, us - ur)
               for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
-    result = planar_feasible(points, strict=False)
-    if not result.open_feasible:
+    belief = planar_feasible(points, strict=False).witness
+    if belief is None:
         return None
-    belief = result.witness
-    assert belief is not None
     value = problem.expected_payoff
     pos, neg = value(p, belief) - value(q, belief), value(r, belief) - value(s, belief)
     if not (pos > 0 and neg <= 0):

@@ -64,24 +64,15 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
         count += 1
         # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
         points = [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])]
-        result = planar_feasible(points, strict=True)
-        if result.open_feasible:
-            belief = result.witness
-            assert belief is not None
+        belief = planar_feasible(points, strict=True).witness
+        if belief is not None:
             values, unimodal = unimodality_profile(problem, belief)
-            triple_values = (values[i], values[j], values[k])
-            if unimodal or not (
-                triple_values[1] < triple_values[0]
-                and triple_values[1] < triple_values[2]
-            ):
+            if unimodal or not (values[j] < values[i] and values[j] < values[k]):
                 raise InternalInvariantError(
                     "qcc-counterexample-substitution",
                     f"belief {belief.coordinates} does not realize the dip "
                     f"({i}, {j}, {k})",
                 )
-            return QccVerdict(
-                holds=False,
-                counterexample=QccCounterexample(belief, (i, j, k), triple_values),
-                checked_triples=count,
-            )
+            dip = QccCounterexample(belief, (i, j, k), (values[i], values[j], values[k]))
+            return QccVerdict(holds=False, counterexample=dip, checked_triples=count)
     return QccVerdict(holds=True, counterexample=None, checked_triples=count)

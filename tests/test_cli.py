@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -284,8 +285,14 @@ class TestExitCodes:
             ('{"states": ["a"], "actions": [0], "payoff": [[' + "9" * 5000 + "]]}",
              ["check-qcc", "{path}"]),
             (json.dumps(P1_DOC), ["check-qcc", "{path}", "--out", "{tmp}/missing/dir/x.json"]),
+            ("[" * 100_000, ["check-qcc", "{path}"]),
+            ('{"states": ["a"], "actions": [0], "payoff": [["1e4300"]]}', ["check-qcc", "{path}"]),
+            (json.dumps({"interval": ["0", "1" + "0" * 1000], "states": ["a"],
+                         "coefficients": [["0", "0", "0", "0", "0", "1"]]}),
+             ["discretize", "{path}", "--grid-points", "3"]),
         ],
-        ids=["int-states", "string-states", "5000-digit-integer", "out-in-missing-dir"],
+        ids=["int-states", "string-states", "5000-digit-integer", "out-in-missing-dir",
+             "100000-nested-brackets", "4301-digit-value", "5001-digit-discretize-payoff"],
     )
     def test_unusable_file_is_one_line_input_error(self, text, argv, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -317,6 +324,46 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("qccheck: input error: cannot write ")
         assert str(tmp_path / "missing") in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("exponent", ["1e999999999", "1E-999999999", "7.5e+1_000_000"])
+    def test_huge_exponent_is_refused_before_parsing(self, exponent, tmp_path, capsys, monkeypatch):
+        # Fraction would build 10**exponent, which does not finish
+        def no_parse(value):
+            raise AssertionError(f"the exponent of {value!r} reached Fraction")
+
+        monkeypatch.setattr(cli_module, "as_fraction", no_parse)
+        path = write_json(tmp_path / "p.json", {"states": ["a"], "actions": [exponent],
+                                                 "payoff": [[0]]})
+        assert main(["check-qcc", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qccheck: input error: actions[0]: ")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "check-qcc", "check-convexity", "eliminate", "verify-props"]
+    )
+    def test_action_count_over_the_budget_is_refused(self, command, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the work began before the action count was checked")
+
+        monkeypatch.setattr(cli_module, "iterated_elimination", no_work)
+        monkeypatch.setattr(cli_module, "check_qcc", no_work)
+        actions = 3
+        while math.comb(actions, 3) <= cli_module._MAX_TRIPLES:
+            actions += 1
+        if command == "verify-props":
+            argv = [command, "--instances", "10", "--max-actions", str(actions)]
+        else:
+            doc = {"states": ["a"], "actions": list(range(actions)),
+                   "payoff": [[v] for v in range(actions)]}
+            argv = [command, write_json(tmp_path / "p.json", doc)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qccheck: input error: ")
+        assert f" {actions} actions is " in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_oversized_discretize_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
