@@ -1,5 +1,6 @@
 """File formats, commands, exit codes, and report stability."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -503,8 +504,6 @@ class TestHarnessStability:
 
 
 def _sha256(text):
-    import hashlib
-
     return hashlib.sha256(text.encode()).hexdigest()
 
 
