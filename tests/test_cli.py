@@ -550,6 +550,19 @@ class TestPinnedOutput:
             "410a68ff8769127b9dd3d0293be1331b561f4a24b7044657775923ba34eb139a"
         )
 
+    def test_wide_oracle_sections_digest(self):
+        # one problem per benchmark `wide` shape: 6-8 states by 4-6 actions,
+        # payoffs up to 1000, grid 12; nine grid dips, six of them with a gap
+        sections = [
+            analyze_problem(random_problem(9100 + index, actions, states, 1000), 12)["oracle"]
+            for index, (states, actions) in enumerate(
+                (s, a) for s in (6, 7, 8) for a in (4, 5, 6)
+            )
+        ]
+        assert _sha256(json.dumps(sections, sort_keys=True)) == (
+            "fde92bad2bf75c6c0f47e1a59029b7716659fba3f282555641e6b647e7997b48"
+        )
+
 
 class TestTracedBenchmarkSites:
     def test_every_traced_cli_name_exists(self):
