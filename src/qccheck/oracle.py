@@ -4,7 +4,8 @@ Three oracles back-stop the exact feasibility checks:
 
 * exhaustive enumeration of all beliefs with a fixed common denominator,
   which can confirm any failure the solver reports (and refute none of its
-  successes, since the grid is finite);
+  successes, since the grid is finite).  One walk moves the integer payoff
+  profile by O(m) per belief, and gaps are sought only where it dips;
 * a complete breakpoint oracle for two-state problems, where expected
   payoffs are affine in a single coordinate and the weak order of the
   actions is constant between consecutive pairwise indifference points, so
@@ -20,9 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, pairwise
 from typing import Iterator, Optional
 
-from .problems import Belief, DecisionProblem, integer_payoff, is_contiguous, is_unimodal
+from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
+
+# A grid belief with its witnessing action triple.
+GridFinding = tuple[Belief, tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -43,130 +48,127 @@ class GridSpec:
         """Number of grid beliefs: C(denominator + dimension - 1, dimension - 1)."""
         return math.comb(self.denominator + self.dimension - 1, self.dimension - 1)
 
+    def belief(self, numerators: list[int]) -> Belief:
+        return Belief(tuple(Fraction(m, self.denominator) for m in numerators))
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+
+def _successors(total: int, parts: int) -> Iterator[tuple[list[int], int, int]]:
+    """Every composition x of `total` into `parts` parts in lexicographic
+    order, as one list changed in place (Knuth, TAOCP 4A, 7.2.1.3), with the
+    step (q, r) that reached it: one unit moves from x[q] to x[q-1] and r
+    from x[q] to the last part.  q is the last nonzero part of the x before;
+    r = 0 when that is the last part, else all x[q] - 1 units left there."""
+    last = parts - 1
+    x = [0] * last + [total]
+    yield x, 0, 0
+    while last:
+        if x[last]:
+            x[last - 1], x[last] = x[last - 1] + 1, x[last] - 1
+            yield x, last, 0
+            continue
+        q = last - 1
+        while q and not x[q]:
+            q -= 1
+        if not q:
+            return
+        r = x[q] - 1
+        x[q - 1], x[q], x[last] = x[q - 1] + 1, 0, r
+        yield x, q, r
 
 
 def grid_beliefs(spec: GridSpec) -> Iterator[Belief]:
-    """Yield every grid belief, ordered with the first coordinate ascending
-    and ties broken the same way recursively."""
-    for numerators in _compositions(spec.denominator, spec.dimension):
-        yield Belief(
-            tuple(Fraction(m, spec.denominator) for m in numerators)
-        )
+    """Yield every grid belief in lexicographic order of its coordinates."""
+    for numerators, _, _ in _successors(spec.denominator, spec.dimension):
+        yield spec.belief(numerators)
 
 
-def _grid_search(problem: DecisionProblem, spec: GridSpec, first_triple):
-    """Walk the grid in `grid_beliefs` order and return the first belief at
-    which `first_triple` finds a triple in the integer payoff profile."""
+def _grid_walk(
+    problem: DecisionProblem, spec: GridSpec
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield each grid belief's numerators, in `grid_beliefs` order, with its
+    profile on `integer_payoff` times the denominator.  A step (q, r) adds
+    column q-1 - column q + r (last column - column q): O(m), not O(mn)."""
     if spec.dimension != problem.num_states:
         raise ValueError("grid dimension does not match the state count")
-    scaled = integer_payoff(problem)
-    for numerators in _compositions(spec.denominator, spec.dimension):
-        values = [
-            sum(m * u for m, u in zip(numerators, row)) for row in scaled
-        ]
-        triple = first_triple(values)
-        if triple is not None:
-            belief = Belief(
-                tuple(Fraction(m, spec.denominator) for m in numerators)
-            )
-            return belief, triple
-    return None
+    columns = list(zip(*integer_payoff(problem)))
+    last = columns[-1]
+    toward = [[0] * len(last)] + [[a - b for a, b in zip(c, d)] for c, d in pairwise(columns)]
+    carry = [[a - b for a, b in zip(last, column)] for column in columns]
+    values = [spec.denominator * u for u in last]
+    for numerators, q, r in _successors(spec.denominator, spec.dimension):
+        if r:
+            values = [v + d + r * c for v, d, c in zip(values, toward[q], carry[q])]
+        else:
+            values = [v + d for v, d in zip(values, toward[q])]
+        yield numerators, values
 
 
-def _first_dip_triple(values: list[int]) -> Optional[tuple[int, int, int]]:
-    if is_unimodal(values):  # O(m) screen before the O(m^3) search
-        return None
-    for i in range(len(values) - 2):
-        for j in range(i + 1, len(values) - 1):
-            if values[j] >= values[i]:
-                continue
-            for k in range(j + 1, len(values)):
-                if values[j] < values[k]:
-                    return i, j, k
+def _first_dip_triple(values: list[int]) -> tuple[int, int, int]:
+    for i, j, k in combinations(range(len(values)), 3):
+        if values[j] < values[i] and values[j] < values[k]:
+            return i, j, k
     raise AssertionError(f"no dip triple in the non-unimodal profile {values}")
 
 
-def _first_gap_triple(values: list[int]) -> Optional[tuple[int, int, int]]:
+def _first_gap_triple(values: list) -> Optional[tuple[int, int, int]]:
+    """The first optimal action, the first action after it that is not, and
+    the first optimal one after that; None if the optimal set is a run."""
     best = max(values)
-    n = len(values)
-    if is_contiguous([i for i, v in enumerate(values) if v == best], n):
-        return None
-    for i in range(n - 2):
-        if values[i] != best:
-            continue
-        for j in range(i + 1, n - 1):
-            if values[j] == best:
-                continue
-            for k in range(j + 1, n):
-                if values[k] == best:
-                    return i, j, k
-    raise AssertionError(f"no gap triple in the non-contiguous profile {values}")
+    optimal = [i for i, v in enumerate(values) if v == best]
+    for i, k in zip(optimal, optimal[1:]):
+        if k > i + 1:
+            return optimal[0], i + 1, k
+    return None
 
 
-def find_grid_dip(
-    problem: DecisionProblem, spec: GridSpec
-) -> Optional[tuple[Belief, tuple[int, int, int]]]:
+def find_grid_dip(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFinding]:
     """First grid belief whose payoff sequence has a strict dip, with the
-    lexicographically first witnessing triple; None if the grid has none."""
-    return _grid_search(problem, spec, _first_dip_triple)
+    lexicographically first witnessing triple; None if the grid has none.
+    One walk over the grid, O(m) per belief plus the unimodality scan."""
+    for numerators, values in _grid_walk(problem, spec):
+        if not is_unimodal(values):
+            return spec.belief(numerators), _first_dip_triple(values)
+    return None
 
 
-def find_grid_gap(
-    problem: DecisionProblem, spec: GridSpec
-) -> Optional[tuple[Belief, tuple[int, int, int]]]:
+def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFinding]:
     """First grid belief whose optimal-action set is non-contiguous, with the
-    lexicographically first (optimal, skipped, optimal) triple."""
-    return _grid_search(problem, spec, _first_gap_triple)
+    lexicographically first (optimal, skipped, optimal) triple.  The same
+    walk as `find_grid_dip`: a gap (i, k optimal, j between them not) is a
+    strict dip, so the argmax is read only where the profile dips."""
+    for numerators, values in _grid_walk(problem, spec):
+        if not is_unimodal(values):
+            triple = _first_gap_triple(values)
+            if triple is not None:
+                return spec.belief(numerators), triple
+    return None
 
 
 def exact_check_two_state(problem: DecisionProblem) -> tuple[bool, bool]:
     """Complete oracle for problems with exactly two states.
 
-    Enumerates every pairwise indifference point of the affine expected
-    payoffs on the segment of beliefs, plus both endpoints and a midpoint of
-    every gap between consecutive candidates.  The weak order of the actions
-    is constant strictly between consecutive indifference points, so checking
-    unimodality and argmax contiguity at this finite set decides both
-    whole-simplex properties exactly.
+    Checks unimodality and argmax contiguity at both endpoints, every
+    pairwise indifference point of the affine expected payoffs, and a
+    midpoint between consecutive ones.  The weak order of the actions is
+    constant strictly between consecutive indifference points, so this
+    finite set decides both whole-simplex properties exactly.
 
     Returns (no dip anywhere, argmax contiguous everywhere).
     """
     if problem.num_states != 2:
         raise ValueError("the complete breakpoint oracle needs exactly 2 states")
     breakpoints = {Fraction(0), Fraction(1)}
-    for i in range(problem.num_actions):
-        for j in range(i + 1, problem.num_actions):
-            d0 = problem.payoff[i][0] - problem.payoff[j][0]
-            d1 = problem.payoff[i][1] - problem.payoff[j][1]
-            if d0 == d1:
-                continue  # parallel: no crossing (or identical rows)
-            q = Fraction(d0, d0 - d1)
-            if 0 <= q <= 1:
-                breakpoints.add(q)
-    ordered = sorted(breakpoints)
-    candidates = list(ordered)
-    for a, b in zip(ordered, ordered[1:]):
-        candidates.append((a + b) / 2)
-
-    qcc_ok = True
-    convex_ok = True
-    for q in candidates:
-        belief = Belief((1 - q, q))
-        values = problem.payoff_profile(belief)
-        if not is_unimodal(values):
-            qcc_ok = False
-        best = max(values)
-        optimal = [i for i, v in enumerate(values) if v == best]
-        if not is_contiguous(optimal, len(values)):
-            convex_ok = False
+    for row, other in combinations(problem.payoff, 2):
+        d0, d1 = row[0] - other[0], row[1] - other[1]
+        if d0 != d1:  # parallel rows never cross
+            breakpoints.add(Fraction(d0, d0 - d1))
+    ordered = [q for q in sorted(breakpoints) if 0 <= q <= 1]
+    midpoints = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
+    qcc_ok = convex_ok = True
+    for q in ordered + midpoints:
+        values = problem.payoff_profile(Belief((1 - q, q)))
+        qcc_ok = qcc_ok and is_unimodal(values)
+        convex_ok = convex_ok and _first_gap_triple(values) is None
     return qcc_ok, convex_ok
 
 
@@ -201,9 +203,7 @@ class SplitMix64:
         return lo + self.next_below(hi - lo + 1)
 
 
-def random_problem(
-    seed: int, actions: int, states: int, magnitude: int
-) -> DecisionProblem:
+def random_problem(seed: int, actions: int, states: int, magnitude: int) -> DecisionProblem:
     """Deterministic pseudo-random problem with integer payoffs in
     [-magnitude, magnitude], drawn row-major from SplitMix64(seed)."""
     if actions < 1 or states < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -309,11 +310,11 @@ def is_unimodal(values: Sequence[Fraction]) -> bool:
     if not values:
         raise ValueError("is_unimodal needs a nonempty sequence")
     fallen = False
-    for prev, cur in zip(values, values[1:]):
-        if cur > prev and fallen:
-            return False
+    for prev, cur in pairwise(values):
         if cur < prev:
             fallen = True
+        elif fallen and cur > prev:
+            return False
     return True
 
 

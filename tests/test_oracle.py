@@ -3,10 +3,12 @@ generator."""
 
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from qccheck import (
+    Belief,
     DecisionProblem,
     GridSpec,
     SplitMix64,
@@ -20,6 +22,8 @@ from qccheck import (
     random_problem,
     unimodality_profile,
 )
+from qccheck.oracle import _grid_walk
+from qccheck.problems import integer_payoff
 
 
 class TestGridBeliefs:
@@ -107,6 +111,72 @@ class TestGridGap:
                 optimal = problem.argmax_set(belief)
                 assert i in optimal and k in optimal and j not in optimal
                 assert not is_contiguous(optimal, problem.num_actions)
+
+
+def _reference_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_search(problem, spec):
+    """(first dip, first gap) by brute force: every composition built
+    recursively, the whole Fraction profile at every belief, and every
+    triple tried in lexicographic order, with no unimodality screen."""
+    dip = gap = None
+    for numerators in _reference_compositions(spec.denominator, spec.dimension):
+        belief = Belief(tuple(F(m, spec.denominator) for m in numerators))
+        values = problem.payoff_profile(belief)
+        best = max(values)
+        for i, j, k in combinations(range(len(values)), 3):
+            if dip is None and values[j] < values[i] and values[j] < values[k]:
+                dip = (belief, (i, j, k))
+            if gap is None and values[i] == values[k] == best != values[j]:
+                gap = (belief, (i, j, k))
+        if dip is not None and gap is not None:
+            break
+    return dip, gap
+
+
+def _walker_cases():
+    """Seeded problems over 1-8 states and 1-7 actions, integer and rational
+    payoffs with small magnitudes (so grid beliefs tie), grids 1-20 cut
+    down to at most 400 beliefs."""
+    rng = SplitMix64(20240613)
+    for case in range(224):
+        states, actions = 1 + case % 8, 1 + case // 8 % 7
+        denominator = 1 + rng.next_below(20)
+        while GridSpec(denominator, states).count > 400:
+            denominator -= 1
+        problem = random_problem(rng.next_uint64(), actions, states, 1 + case % 4)
+        if case // 56 % 2:
+            problem = DecisionProblem.from_matrix([
+                [v / (1 + rng.next_below(4)) for v in row] for row in problem.payoff
+            ])
+        yield problem, GridSpec(denominator, states)
+
+
+class TestGridWalk:
+    def test_walk_matches_the_brute_force_reference(self):
+        shapes, findings = set(), []
+        for problem, spec in _walker_cases():
+            shapes.add((problem.num_states, problem.num_actions))
+            walked = [(tuple(x), values) for x, values in _grid_walk(problem, spec)]
+            assert len(walked) == spec.count
+            assert [spec.belief(x) for x, _ in walked] == list(grid_beliefs(spec))
+            scaled = integer_payoff(problem)
+            for x, values in walked:
+                assert values == [sum(m * u for m, u in zip(x, row)) for row in scaled]
+            found = (find_grid_dip(problem, spec), find_grid_gap(problem, spec))
+            assert found == _reference_search(problem, spec)
+            findings.append(found)
+        assert (1, 1) in shapes and (8, 7) in shapes
+        # the comparison must not pass on problems with nothing to find
+        assert sum(dip is not None for dip, _ in findings) >= 140
+        assert sum(gap is not None for _, gap in findings) >= 110
 
 
 class TestOneSidedSoundness:
