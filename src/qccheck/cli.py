@@ -56,6 +56,16 @@ class InputFileError(ValueError):
 # Serialization: rationals as strings end to end.
 # ---------------------------------------------------------------------------
 
+def _rational_json(value: Fraction) -> str:
+    """A rational as a report string.  Values computed from a large input,
+    such as a belief or an expected payoff, can pass the digit limit of
+    `str`; that is refused as an input error."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputFileError(f"a report value cannot be written: {exc}") from exc
+
+
 def _parse_rational(value: Any, where: str) -> Fraction:
     """Parse one rational, refusing an exponent past the integer digit limit,
     which `Fraction` would take too long to build, and what `str` cannot write."""
@@ -113,8 +123,8 @@ def problem_from_json(doc: Any) -> DecisionProblem:
 def problem_to_json(problem: DecisionProblem) -> dict:
     return {
         "states": list(problem.states),
-        "actions": [str(a) for a in problem.actions],
-        "payoff": [[str(v) for v in row] for row in problem.payoff],
+        "actions": [_rational_json(a) for a in problem.actions],
+        "payoff": [[_rational_json(v) for v in row] for row in problem.payoff],
     }
 
 
@@ -148,7 +158,7 @@ def polynomial_from_json(doc: Any) -> PolynomialProblem:
 
 
 def _belief_json(belief: Belief) -> list[str]:
-    return [str(c) for c in belief.coordinates]
+    return [_rational_json(c) for c in belief.coordinates]
 
 
 def problem_digest(problem: DecisionProblem) -> str:
@@ -174,7 +184,7 @@ def _qcc_json(verdict: QccVerdict) -> dict:
         ce = verdict.counterexample
         counterexample = {
             **_triple_json(ce.belief, ce.triple),
-            "values": [str(v) for v in ce.values],
+            "values": [_rational_json(v) for v in ce.values],
         }
     return {
         "holds": verdict.holds,
@@ -209,7 +219,7 @@ def _nesting_json(report: NestingReport) -> dict:
 def _lsc_json(verdict: LscVerdict) -> dict:
     vector = None
     if verdict.failing_vector is not None:
-        vector = [str(v) for v in verdict.failing_vector.entries]
+        vector = [_rational_json(v) for v in verdict.failing_vector.entries]
     return {
         "holds": verdict.holds,
         "mode": verdict.mode,
@@ -229,7 +239,7 @@ def _lsc_block(before: DecisionProblem, after: DecisionProblem) -> dict:
 def _relabeling_json(relabeling: Relabeling) -> dict:
     return {
         "permutation": list(relabeling.permutation),
-        "sort_keys": [str(k) for k in relabeling.sort_keys],
+        "sort_keys": [_rational_json(k) for k in relabeling.sort_keys],
     }
 
 
@@ -240,7 +250,7 @@ def _elimination_json(report: EliminationReport) -> dict:
             {
                 "original_index": r.original_index,
                 "reason": r.reason,
-                "mixture": {str(j): str(w) for j, w in r.mixture},
+                "mixture": {str(j): _rational_json(w) for j, w in r.mixture},
             }
             for r in report.removed
         ],
@@ -639,10 +649,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
             raise InputFileError("--grid-points must be at least 2")
         _check_size(f"--grid-points {args.grid_points} over {len(poly.states)} states",
                     args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
-        try:
-            return problem_to_json(poly.discretize(args.grid_points))
-        except ValueError as exc:  # a payoff with more digits than str() writes
-            raise InputFileError(f"discretize output cannot be written: {exc}") from exc
+        return problem_to_json(poly.discretize(args.grid_points))
     if args.command == "verify-props":
         _check_grid(args.grid, args.max_states)
         _check_actions("--max-actions", args.max_actions)

@@ -327,7 +327,28 @@ class TestExitCodes:
         assert str(tmp_path / "missing") in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("exponent", ["1e999999999", "1E-999999999", "7.5e+1_000_000"])
+    @pytest.mark.parametrize("command", ["check-qcc", "analyze"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_report_value_past_the_digit_limit_is_input_error(
+        self, command, to_file, tmp_path, capsys
+    ):
+        # 3,001-digit payoffs parse and write back, but the report's beliefs
+        # and expected payoffs have more digits than str() writes
+        scale = 10**3000 + 1
+        payoff = [
+            [str(int(v) * scale + 7 * i * i + 3 * s) for s, v in enumerate(row)]
+            for i, row in enumerate(random_problem(9008, 5, 3, 1000).payoff)
+        ]
+        doc = {"states": ["a", "b", "c"], "actions": list(range(5)), "payoff": payoff}
+        path = write_json(tmp_path / "huge.json", doc)
+        out = tmp_path / "report.json"
+        assert main([command, path, *(["--out", str(out)] if to_file else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("qccheck: input error: a report value cannot be written")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("exponent",["1e999999999", "1E-999999999", "7.5e+1_000_000"])
     def test_huge_exponent_is_refused_before_parsing(self, exponent, tmp_path, capsys, monkeypatch):
         # Fraction would build 10**exponent, which does not finish
         def no_parse(value):
