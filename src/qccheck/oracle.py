@@ -163,13 +163,10 @@ def exact_check_two_state(problem: DecisionProblem) -> tuple[bool, bool]:
         if d0 != d1:  # parallel rows never cross
             breakpoints.add(Fraction(d0, d0 - d1))
     ordered = [q for q in sorted(breakpoints) if 0 <= q <= 1]
-    midpoints = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
-    qcc_ok = convex_ok = True
-    for q in ordered + midpoints:
-        values = problem.payoff_profile(Belief((1 - q, q)))
-        qcc_ok = qcc_ok and is_unimodal(values)
-        convex_ok = convex_ok and _first_gap_triple(values) is None
-    return qcc_ok, convex_ok
+    candidates = ordered + [(a + b) / 2 for a, b in pairwise(ordered)]
+    profiles = [problem.payoff_profile(Belief((1 - q, q))) for q in candidates]
+    return (all(map(is_unimodal, profiles)),
+            all(_first_gap_triple(values) is None for values in profiles))
 
 
 _MASK64 = (1 << 64) - 1
@@ -203,7 +200,9 @@ class SplitMix64:
         return lo + self.next_below(hi - lo + 1)
 
 
-def random_problem(seed: int, actions: int, states: int, magnitude: int) -> DecisionProblem:
+def random_problem(
+    seed: int, actions: int, states: int, magnitude: int
+) -> DecisionProblem:
     """Deterministic pseudo-random problem with integer payoffs in
     [-magnitude, magnitude], drawn row-major from SplitMix64(seed)."""
     if actions < 1 or states < 1:
