@@ -282,10 +282,11 @@ def _oracle_cross_check(
 ) -> tuple[Optional[tuple[Belief, tuple[int, int, int]]], ...]:
     """Grid sweep versus the solver verdicts: any grid witness to a failure
     the solver claims cannot exist is an internal inconsistency.  Returns
-    the grid's first (dip, gap), each None when the grid has none."""
+    the grid's first (dip, gap), each None when the grid has none; a gap is
+    a dip, so the gap walk runs only after a dip."""
     spec = GridSpec(denominator, problem.num_states)
     dip = find_grid_dip(problem, spec)
-    gap = find_grid_gap(problem, spec)
+    gap = None if dip is None else find_grid_gap(problem, spec)
     if dip is not None and qcc_verdict.holds:
         raise InternalInvariantError(
             "oracle-lp-consistency",

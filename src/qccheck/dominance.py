@@ -13,7 +13,11 @@ to the same answer that the acceptance tests compare against.
 
 `iterated_elimination` removes duplicates and then mixture-dominated actions
 until every survivor carries an interior unique-optimality witness, which
-certifies the hypothesis the geometry checks rely on.
+certifies the hypothesis the geometry checks rely on.  Before its LP, each
+scanned action is screened by inspection: an action strictly best in some
+state, or uniquely best at the uniform belief, has that belief as a witness
+(stepped into the interior the same way), so by duality it is undominated
+and needs no LP.
 """
 
 from __future__ import annotations
@@ -126,7 +130,9 @@ def _duality_check(
     result = solve(LinearSystem.build(len(others), rows))
     if not result.is_optimal:
         assert result.farkas is not None
-        return None, _interior_witness(problem, action_index, result.farkas)
+        total = sum(result.farkas, Fraction(0))
+        ray = Belief(tuple(lam / total for lam in result.farkas))
+        return None, _interior_witness(problem, action_index, ray)
     assert result.witness is not None
     weights = [Fraction(0)] * problem.num_actions
     for j, w in zip(others, result.witness.coordinates):
@@ -136,18 +142,17 @@ def _duality_check(
 
 
 def _interior_witness(
-    problem: DecisionProblem, action_index: int, farkas: tuple[Fraction, ...]
+    problem: DecisionProblem, action_index: int, p: Belief
 ) -> Belief:
-    """Turn the mixture LP's Farkas certificate into an interior belief where
-    the action is the only optimal one.
+    """Step a belief p where the action is the only optimal one into the
+    interior, keeping it the only optimal one.
 
-    The certificate, normalized, is a belief p with p.u_i > p.u_j for every
-    other action j.  With g_j = p.(u_i - u_j) and d_j = uniform.(u_i - u_j),
-    q = (1 - e) p + e uniform keeps every margin (1 - e) g_j + e d_j
-    positive for e = min(1/2, min over d_j < 0 of g_j / (2 (g_j - d_j))).
+    p is the mixture LP's normalized Farkas certificate, or a screened point
+    mass or uniform belief.  With g_j = p.(u_i - u_j) > 0 and
+    d_j = uniform.(u_i - u_j), q = (1 - e) p + e uniform keeps every margin
+    (1 - e) g_j + e d_j positive for
+    e = min(1/2, min over d_j < 0 of g_j / (2 (g_j - d_j))).
     """
-    total = sum(farkas, Fraction(0))
-    p = Belief(tuple(lam / total for lam in farkas))
     uniform = Belief.uniform(problem.num_states)
     at_p = problem.payoff_profile(p)
     at_uniform = problem.payoff_profile(uniform)
@@ -164,11 +169,26 @@ def _interior_witness(
     if not witness.is_interior or problem.argmax_set(witness) != {action_index}:
         raise InternalInvariantError(
             "dominance-duality",
-            f"action {action_index}: no dominating mixture, but the belief "
-            f"{witness.coordinates} from its Farkas certificate does not make "
-            "it uniquely optimal in the interior",
+            f"action {action_index}: the belief {witness.coordinates} stepped "
+            f"from {p.coordinates} does not make it uniquely optimal in the "
+            "interior",
         )
     return witness
+
+
+def _screened_witness(problem: DecisionProblem, action_index: int) -> Optional[Belief]:
+    """A belief where the action is the only optimal one, found by inspection:
+    the point mass on the first state where it beats every other action, else
+    the uniform belief if it beats them all there; None if neither."""
+    target = problem.payoff[action_index]
+    others = problem.payoff[:action_index] + problem.payoff[action_index + 1:]
+    for state, value in enumerate(target):
+        if all(row[state] < value for row in others):
+            return Belief.point_mass(state, problem.num_states)
+    total = sum(target)
+    if all(sum(row) < total for row in others):
+        return Belief.uniform(problem.num_states)
+    return None
 
 
 def _verify_mixture(
@@ -196,8 +216,11 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
 
     Duplicate payoff rows are collapsed first (lowest index kept); then the
     lowest-index action with a dominating mixture over the current survivors
-    is removed, repeatedly, until none remains.  Each distinct action's
-    dominance question is solved once: a unique-optimality witness stays one
+    is removed, repeatedly, until none remains.  An action strictly best in
+    some state, or at the uniform belief, is undominated by inspection and
+    takes that belief, stepped into the interior, as its witness; every
+    other scanned action gets one mixture LP.  Each distinct action's
+    dominance question is settled once: a unique-optimality witness stays one
     when other actions are removed, so the actions before a removal stay
     undominated and the scan resumes at the removal point.  A survivor's
     witness may therefore have been found while more actions were active;
@@ -222,6 +245,11 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
     surviving = problem.restrict_actions(active)
     position = 0
     while 1 < len(active) and position < len(active):
+        screened = _screened_witness(surviving, position)
+        if screened is not None:
+            found[active[position]] = _interior_witness(surviving, position, screened)
+            position += 1
+            continue
         weights, witness = _duality_check(surviving, position)
         if weights is None:
             found[active[position]] = witness

@@ -5,7 +5,8 @@ Three oracles back-stop the exact feasibility checks:
 * exhaustive enumeration of all beliefs with a fixed common denominator,
   which can confirm any failure the solver reports (and refute none of its
   successes, since the grid is finite).  One walk moves the integer payoff
-  profile by O(m) per belief, and gaps are sought only where it dips;
+  profile by O(m) per belief.  A gap is a dip, so gaps are worth seeking
+  only on a grid that dips, and only where the maximum is tied;
 * a complete breakpoint oracle for two-state problems, where expected
   payoffs are affine in a single coordinate and the weak order of the
   actions is constant between consecutive pairwise indifference points, so
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
+from operator import add
 from typing import Iterator, Optional
 
 from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
@@ -99,7 +101,7 @@ def _grid_walk(
         if r:
             values = [v + d + r * c for v, d, c in zip(values, toward[q], carry[q])]
         else:
-            values = [v + d for v, d in zip(values, toward[q])]
+            values = list(map(add, values, toward[q]))
         yield numerators, values
 
 
@@ -134,10 +136,10 @@ def find_grid_dip(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
 def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFinding]:
     """First grid belief whose optimal-action set is non-contiguous, with the
     lexicographically first (optimal, skipped, optimal) triple.  The same
-    walk as `find_grid_dip`: a gap (i, k optimal, j between them not) is a
-    strict dip, so the argmax is read only where the profile dips."""
+    walk as `find_grid_dip`: a gap needs two optimal actions, so the argmax
+    is read only where the maximum is tied."""
     for numerators, values in _grid_walk(problem, spec):
-        if not is_unimodal(values):
+        if values.count(max(values)) > 1:
             triple = _first_gap_triple(values)
             if triple is not None:
                 return spec.belief(numerators), triple

@@ -174,10 +174,11 @@ class DecisionProblem:
         return sum((p * u for p, u in zip(belief.coordinates, row)), Fraction(0))
 
     def payoff_profile(self, belief: Belief) -> tuple[Fraction, ...]:
-        """Expected payoffs of every action under a belief, in action order."""
+        """Expected payoffs of every action under a belief, in action order;
+        states the belief rules out are skipped, so a point mass costs O(m)."""
         self._check_belief(belief)
         return tuple(
-            sum((p * u for p, u in zip(belief.coordinates, row)), Fraction(0))
+            sum((p * u for p, u in zip(belief.coordinates, row) if p), Fraction(0))
             for row in self.payoff
         )
 

@@ -20,6 +20,9 @@ from qccheck import (
     DecisionProblem,
     InternalInvariantError,
     PolynomialProblem,
+    check_argmax_convexity,
+    check_qcc,
+    find_grid_gap,
     random_problem,
     unimodality_profile,
 )
@@ -101,6 +104,24 @@ class TestAnalyzeReport:
         assert report["lsc"]["after_relabel"]["relaxed"]["holds"] is True
         assert report["elimination"]["surviving_indices"] == [0, 1, 2]
         assert report["oracle"]["dip"] is None and report["oracle"]["gap"] is None
+
+    @pytest.mark.parametrize("doc, gap_walks", [(P1_DOC, 0), (P2_DOC, 1)], ids=["no-dip", "dip"])
+    def test_gap_walk_runs_only_after_a_dip(self, doc, gap_walks, monkeypatch):
+        # a gap is a dip, so a grid with no dip has no gap to walk for
+        walks = []
+
+        def counted(problem, spec):
+            walks.append(spec)
+            return find_grid_gap(problem, spec)
+
+        monkeypatch.setattr(cli_module, "find_grid_gap", counted)
+        problem = problem_from_json(doc)
+        qcc = check_qcc(problem)
+        dip, gap = cli_module._oracle_cross_check(
+            problem, qcc, check_argmax_convexity(problem, qcc), 10
+        )
+        assert (dip is not None) == (gap_walks == 1)
+        assert len(walks) == gap_walks
 
     def test_dipping_fixture_witnesses_reverify_after_reparse(self):
         report = analyze_problem(problem_from_json(P2_DOC), grid_denominator=10)
@@ -568,7 +589,19 @@ class TestPinnedOutput:
             del report["timing"]
             reports.append(report)
         assert _sha256(json.dumps(reports, sort_keys=True)) == (
-            "410a68ff8769127b9dd3d0293be1331b561f4a24b7044657775923ba34eb139a"
+            "e7ca88ab32d8ca29c32487af13c383d158097891adb7a96a5a97ed13ec36a3a2"
+        )
+
+    def test_analyze_reports_digest_without_witnesses(self):
+        # everything but the survivors' witnesses, which a change of route
+        # to the same verdict may move
+        reports = []
+        for problem in _rational_problems():
+            report = analyze_problem(problem, 4)
+            del report["timing"], report["elimination"]["condition_38_witnesses"]
+            reports.append(report)
+        assert _sha256(json.dumps(reports, sort_keys=True)) == (
+            "c266d06746ae2663dbb43060bdb08465a7fa9642aff1922e3c46fb91dd1fdfd8"
         )
 
     def test_wide_oracle_sections_digest(self):

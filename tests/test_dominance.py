@@ -16,7 +16,9 @@ from qccheck import (
     random_problem,
     unique_optimality_witness,
 )
+import qccheck.dominance as dominance_module
 from qccheck.dominance import _duality_check, _verify_mixture
+from qccheck.oracle import SplitMix64
 
 
 def mixture_dominates(problem, action_index, weights):
@@ -283,6 +285,68 @@ class TestResumedScan:
         assert reasons.count("mixed-dominated") >= 20
 
 
+def settled_by_inspection(problem, action):
+    """True when the action beats every other action in some state, or in
+    the sum over states (the uniform belief)."""
+    row = problem.payoff[action]
+    others = [other for j, other in enumerate(problem.payoff) if j != action]
+    return any(
+        all(other[state] < row[state] for other in others)
+        for state in range(problem.num_states)
+    ) or all(sum(other) < sum(row) for other in others)
+
+
+def screen_cases():
+    """330 seeded problems, 1-8 states by 1-7 actions, with payoffs of
+    magnitude at most 3, so that ties and duplicate rows are common; every
+    other problem has its rows divided by small integers."""
+    rng = SplitMix64(2024)
+    for case in range(330):
+        states, actions = 1 + case % 8, 1 + case // 8 % 7
+        problem = random_problem(rng.next_uint64(), actions, states, 1 + case % 3)
+        if case % 2:
+            problem = DecisionProblem.from_matrix([
+                [v / (1 + rng.next_below(3)) for v in row] for row in problem.payoff
+            ])
+        yield problem
+
+
+class TestEliminationScreen:
+    def test_screen_keeps_every_removal_and_certifies_its_witnesses(self, monkeypatch):
+        screen = dominance_module._screened_witness
+        screened = []
+
+        def recorded(problem, action):
+            start = screen(problem, action)
+            if start is not None:
+                screened.append(problem.payoff[action])
+            return start
+
+        settled, reasons = 0, []
+        for problem in screen_cases():
+            monkeypatch.setattr(dominance_module, "_screened_witness", lambda problem, action: None)
+            reference = iterated_elimination(problem)
+            monkeypatch.setattr(dominance_module, "_screened_witness", recorded)
+            screened.clear()
+            report = iterated_elimination(problem)
+            assert report.surviving_indices == reference.surviving_indices
+            assert report.removed == reference.removed
+            # a screened action has a witness, so it is never removed
+            rows = report.surviving.payoff
+            assert all(row in rows for row in screened)
+            for row in screened:
+                witness = report.witnesses[rows.index(row)]
+                assert witness.is_interior
+                assert report.surviving.argmax_set(witness) == {rows.index(row)}
+            settled += len(screened)
+            reasons += [removal.reason for removal in report.removed]
+        # the cases exercise the screen, the LP it stands in front of, and
+        # the duplicate collapse
+        assert settled >= 400
+        assert reasons.count("mixed-dominated") >= 300
+        assert reasons.count("duplicate") >= 40
+
+
 class TestEliminationLpCount:
     @staticmethod
     def count_lps(problem, monkeypatch):
@@ -301,12 +365,19 @@ class TestEliminationLpCount:
         return report, len(calls)
 
     @pytest.mark.parametrize("actions", [3, 5, 8])
-    def test_one_lp_per_action_when_nothing_is_removed(self, actions, monkeypatch):
+    def test_lps_only_for_unscreened_actions_when_nothing_is_removed(
+        self, actions, monkeypatch
+    ):
         # concave in the action at every belief: each grid action is
-        # uniquely optimal where the belief puts the peak on it
-        report, lps = self.count_lps(CONCAVE_POLY.discretize(actions), monkeypatch)
+        # uniquely optimal where the belief puts the peak on it; only those
+        # best neither in a state nor at the uniform belief need an LP
+        problem = CONCAVE_POLY.discretize(actions)
+        report, lps = self.count_lps(problem, monkeypatch)
         assert report.removed == ()
-        assert lps == actions
+        assert lps == sum(
+            not settled_by_inspection(problem, action) for action in range(actions)
+        )
+        assert lps < actions
 
     @pytest.mark.parametrize(
         "matrix, lps",
