@@ -379,6 +379,15 @@ class TestEliminationLpCount:
         )
         assert lps < actions
 
+    @pytest.mark.parametrize("actions", [3, 5, 8])
+    def test_one_lp_per_action_when_nothing_is_removed(self, actions, monkeypatch):
+        # with the screen switched off every scanned action is settled by
+        # exactly one LP, and the LP path alone still removes nothing
+        monkeypatch.setattr(dominance_module, "_screened_witness", lambda problem, action: None)
+        report, lps = self.count_lps(CONCAVE_POLY.discretize(actions), monkeypatch)
+        assert report.removed == ()
+        assert lps == actions
+
     @pytest.mark.parametrize(
         "matrix, lps",
         [
