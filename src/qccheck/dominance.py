@@ -15,20 +15,28 @@ to the same answer that the acceptance tests compare against.
 until every survivor carries an interior unique-optimality witness, which
 certifies the hypothesis the geometry checks rely on.  Before its LP, each
 scanned action is screened by inspection: an action strictly best in some
-state, or uniquely best at the uniform belief, has that belief as a witness
-(stepped into the interior the same way), so by duality it is undominated
-and needs no LP.
+state, uniquely best at the uniform belief, or uniquely best somewhere on an
+edge between two point masses has that belief as a witness (stepped into the
+interior the same way), so by duality it is undominated and needs no LP.  On
+edge (s, t) the expected payoffs are lines in lam, the weight on t, so the
+set where the action beats every other one is an open interval cut out by
+half-lines (`exactlp.segment_interval`); its middle is the belief.  The
+screen is sufficient, not necessary: an action may be uniquely optimal only
+in the interior, since the Caratheodory argument that brings two strict rows
+to an edge (see `qcc`) does not reach m - 1 of them.  The mixture LP settles
+what the screen leaves.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, solve, strict_feasible
-from .problems import Belief, DecisionProblem
+from .exactlp import LinearSystem, segment_interval, solve, strict_feasible
+from .problems import Belief, DecisionProblem, integer_payoff
 
 RemovalReason = Literal["duplicate", "mixed-dominated"]
 
@@ -148,7 +156,7 @@ def _interior_witness(
     interior, keeping it the only optimal one.
 
     p is the mixture LP's normalized Farkas certificate, or a screened point
-    mass or uniform belief.  With g_j = p.(u_i - u_j) > 0 and
+    mass, uniform belief or edge point.  With g_j = p.(u_i - u_j) > 0 and
     d_j = uniform.(u_i - u_j), q = (1 - e) p + e uniform keeps every margin
     (1 - e) g_j + e d_j positive for
     e = min(1/2, min over d_j < 0 of g_j / (2 (g_j - d_j))).
@@ -179,15 +187,28 @@ def _interior_witness(
 def _screened_witness(problem: DecisionProblem, action_index: int) -> Optional[Belief]:
     """A belief where the action is the only optimal one, found by inspection:
     the point mass on the first state where it beats every other action, else
-    the uniform belief if it beats them all there; None if neither."""
-    target = problem.payoff[action_index]
-    others = problem.payoff[:action_index] + problem.payoff[action_index + 1:]
+    the uniform belief if it beats them all there, else the middle of the
+    open interval where it beats them all on the first edge (s, t) that has
+    one; None if none of these."""
+    n = problem.num_states
+    scaled = integer_payoff(problem)
+    target = scaled[action_index]
+    others = scaled[:action_index] + scaled[action_index + 1:]
     for state, value in enumerate(target):
         if all(row[state] < value for row in others):
-            return Belief.point_mass(state, problem.num_states)
+            return Belief.point_mass(state, n)
     total = sum(target)
     if all(sum(row) < total for row in others):
-        return Belief.uniform(problem.num_states)
+        return Belief.uniform(n)
+    for s, t in itertools.combinations(range(n), 2):
+        interval = segment_interval(
+            (target[s] - row[s], target[t] - row[t], True) for row in others
+        )
+        if interval is not None:
+            lam = (interval[0] + interval[1]) / 2
+            coords = [Fraction(0)] * n
+            coords[s], coords[t] = 1 - lam, lam
+            return Belief(tuple(coords))
     return None
 
 
@@ -217,9 +238,9 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
     Duplicate payoff rows are collapsed first (lowest index kept); then the
     lowest-index action with a dominating mixture over the current survivors
     is removed, repeatedly, until none remains.  An action strictly best in
-    some state, or at the uniform belief, is undominated by inspection and
-    takes that belief, stepped into the interior, as its witness; every
-    other scanned action gets one mixture LP.  Each distinct action's
+    some state, at the uniform belief, or somewhere on an edge is undominated
+    by inspection and takes that belief, stepped into the interior, as its
+    witness; every other scanned action gets one mixture LP.  Each distinct action's
     dominance question is settled once: a unique-optimality witness stays one
     when other actions are removed, so the actions before a removal stay
     undominated and the scan resumes at the removal point.  A survivor's

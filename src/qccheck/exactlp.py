@@ -34,6 +34,8 @@ multipliers (alpha, beta) >= 0, positive on a strict row, with
 alpha a_s + beta b_s <= 0 for every state.  Both answers are re-verified by
 substitution on the points, which may be integers: one positive scale
 factor leaves the witness unchanged, as its ends are roots -u / (v - u).
+The interval on one segment comes from `segment_interval`, which `qcc` and
+`dominance` also run on the edges of the simplex.
 """
 
 from __future__ import annotations
@@ -433,7 +435,7 @@ def _planar_witness(points: Sequence[tuple[Rational, Rational]], strict: bool) -
             a_t, b_t = points[t]
             if (a_s <= 0 and a_t <= 0) or (b_s < 0 and b_t < 0):
                 continue
-            interval = _segment_interval(((a_s, a_t, True), (b_s, b_t, strict)))
+            interval = segment_interval(((a_s, a_t, True), (b_s, b_t, strict)))
             if interval is not None:
                 lam = (interval[0] + interval[1]) / 2
                 coords = [_ZERO] * n
@@ -442,7 +444,7 @@ def _planar_witness(points: Sequence[tuple[Rational, Rational]], strict: bool) -
     return None
 
 
-def _segment_interval(
+def segment_interval(
     constraints: Iterable[tuple[Rational, Rational, bool]]
 ) -> Optional[tuple[Fraction, Fraction]]:
     """The closure [lo, hi] of the set of lambda in [0, 1] with

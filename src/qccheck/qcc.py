@@ -3,24 +3,43 @@
 A problem fails exactly when some belief produces a strict interior dip in
 the action-indexed expected-payoff sequence.  Each candidate dip pattern
 (i, j, k) is a pair of strict linear inequalities in the belief,
-u_i - u_j > 0 and u_k - u_j > 0, decided exactly in the plane of the points
-(u_i - u_j, u_k - u_j) over the states (`exactlp.planar_feasible`), on the
-payoffs scaled once to integers (`problems.integer_payoff`).  A
-feasible pattern yields a counterexample belief that is re-verified
-pointwise before being reported; an infeasible one comes with a verified
-Motzkin certificate (alpha, beta): action j weakly dominates the mixture of
-i and k with weights proportional to alpha and beta.
+u_i - u_j > 0 and u_k - u_j > 0.  Two strict rows hold together somewhere in
+the simplex exactly when they hold at a point mass or on the segment between
+two point masses (the Caratheodory argument in `exactlp`'s docstring), so a
+problem is unimodal everywhere exactly when it is unimodal on each of the
+C(n, 2) edges of the simplex.
+
+The edge sweep decides this first, on the payoffs scaled once to integers
+(`problems.integer_payoff`).  On edge (s, t) the expected payoffs are m
+lines in lam, the weight on t.  For each middle action j, L_j is the closed
+interval where no earlier action beats j and R_j the one where no later
+action does, each an intersection of half-lines (`exactlp.segment_interval`);
+the edge has no dip at j exactly when L_j and R_j cover [0, 1].  Then a
+split lam* puts one group on [0, lam*] and the other on [lam*, 1], and a
+holding verdict rests only on these splits: each is re-verified by
+substitution at the ends of both sides, which is enough because the payoffs
+are linear in lam.  A one-state problem has no edge and is decided on its
+single column.
+
+When the sweep finds a dip, the triples are scanned in lexicographic order,
+each decided exactly in the plane of the points (u_i - u_j, u_k - u_j) over
+the states (`exactlp.planar_feasible`).  The first feasible pattern yields a
+counterexample belief that is re-verified pointwise before being reported;
+each infeasible one before it comes with a verified Motzkin certificate
+(alpha, beta): action j weakly dominates the mixture of i and k with weights
+proportional to alpha and beta.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .exactlp import planar_feasible
+from .exactlp import planar_feasible, segment_interval
 from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
 
 
@@ -54,11 +73,17 @@ def unimodality_profile(
 def check_qcc(problem: DecisionProblem) -> QccVerdict:
     """Decide whether every belief yields a unimodal payoff sequence.
 
-    Triples are examined in lexicographic order and the first feasible dip
-    is returned as the counterexample; with fewer than three actions the
-    property holds vacuously.
+    The edge sweep decides the question; a holding verdict counts all
+    C(m, 3) triples as checked, since the sweep has settled each of them.
+    When the sweep finds a dip, triples are examined in lexicographic order
+    and the first feasible dip is returned as the counterexample.  With
+    fewer than three actions the property holds vacuously.
     """
     scaled = integer_payoff(problem)
+    if _edge_sweep(scaled):
+        return QccVerdict(
+            holds=True, counterexample=None, checked_triples=math.comb(problem.num_actions, 3)
+        )
     count = 0
     for i, j, k in itertools.combinations(range(problem.num_actions), 3):
         count += 1
@@ -75,4 +100,75 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
                 )
             dip = QccCounterexample(belief, (i, j, k), (values[i], values[j], values[k]))
             return QccVerdict(holds=False, counterexample=dip, checked_triples=count)
-    return QccVerdict(holds=True, counterexample=None, checked_triples=count)
+    raise InternalInvariantError(
+        "qcc-edge-sweep", "the edge sweep found a dip that no triple realizes"
+    )
+
+
+def _edge_sweep(scaled: list[list[int]]) -> bool:
+    """Whether no edge of the simplex carries a dip, on integer payoffs.
+
+    A one-state problem has no edge; its single column is the whole answer.
+    Otherwise each middle action j on each edge gets a split from
+    `_edge_split`, re-verified by `_verify_split` before it counts.
+    """
+    if len(scaled[0]) == 1:
+        return is_unimodal([row[0] for row in scaled])
+    for s, t in itertools.combinations(range(len(scaled[0])), 2):
+        ends = [(row[s], row[t]) for row in scaled]
+        for j in range(1, len(ends) - 1):
+            split = _edge_split(ends, j)
+            if split is None:
+                return False
+            _verify_split(ends, j, *split)
+    return True
+
+
+def _edge_split(
+    ends: Sequence[tuple[int, int]], j: int
+) -> Optional[tuple[Fraction, bool]]:
+    """A split lam* of the edge for action j, or None when the edge has a dip
+    at j.  `ends[a]` is action a's payoff at the edge's two ends.
+
+    L and R are the closed intervals where no earlier, respectively no later,
+    action beats j.  The split comes with whether the earlier actions take
+    the left side [0, lam*] and the later ones the right side [lam*, 1], or
+    the other way round; lam* = 1 means the left group is never better than j.
+    """
+    u_j, v_j = ends[j]
+
+    def never_better(group):
+        return segment_interval((u_j - u, v_j - v, False) for u, v in group)
+
+    earlier, later = never_better(ends[:j]), never_better(ends[j + 1:])
+    for left, right, earlier_left in ((earlier, later, True), (later, earlier, False)):
+        if left is None or left[0] != 0:
+            continue
+        split = left[1]
+        if split == 1 or (right is not None and right[0] <= split and right[1] == 1):
+            return split, earlier_left
+    return None
+
+
+def _verify_split(
+    ends: Sequence[tuple[int, int]], j: int, split: Fraction, earlier_left: bool
+) -> None:
+    """Check by substitution that no action of the left group beats j on
+    [0, split] and none of the right group on [split, 1].  The payoffs are
+    linear in lam, so the ends of each side are enough; a side of length 0
+    is covered by the other."""
+    earlier, later = ends[:j], ends[j + 1:]
+    left, right = (earlier, later) if earlier_left else (later, earlier)
+    u_j, v_j = ends[j]
+    for group, lo, hi in ((left, Fraction(0), split), (right, split, Fraction(1))):
+        if lo == hi:
+            continue
+        for end in (lo, hi):
+            p, q = end.numerator, end.denominator
+            # (1 - lam) (u - u_j) + lam (v - v_j) at lam = p / q, times q
+            if any((q - p) * (u - u_j) + p * (v - v_j) > 0 for u, v in group):
+                raise InternalInvariantError(
+                    "qcc-edge-split",
+                    f"an action beats {j} at lam = {end} on the side "
+                    f"[{lo}, {hi}] of split {split}",
+                )

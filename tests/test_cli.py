@@ -220,16 +220,24 @@ class TestCommands:
         assert report["qcc"]["holds"] is True
 
     def test_analyze_convexity_decides_no_two_row_system(self, tmp_path, capsys, monkeypatch):
-        # convexity reads the unimodality verdict instead of deciding dips again
-        inside, decided = [], []
-        for module in (geometry_module, qcc_module):
+        # convexity reads the unimodality verdict instead of deciding dips
+        # again, and the holding verdict comes from the edge sweep alone
+        inside, decided, from_qcc, sweeps = [], [], [], []
+        for module, calls in ((geometry_module, decided), (qcc_module, from_qcc)):
             planar = module.planar_feasible
 
-            def counting(points, strict, planar=planar):
-                decided.append(bool(inside))
+            def counting(points, strict, planar=planar, calls=calls):
+                calls.append(bool(inside))
                 return planar(points, strict)
 
             monkeypatch.setattr(module, "planar_feasible", counting)
+        sweep = qcc_module._edge_sweep
+
+        def spied(scaled):
+            sweeps.append(scaled)
+            return sweep(scaled)
+
+        monkeypatch.setattr(qcc_module, "_edge_sweep", spied)
         convexity = cli_module.check_argmax_convexity
 
         def tracked(*args):
@@ -248,7 +256,8 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["qcc"]["holds"] and report["convexity"]["holds"]
         assert report["qcc"]["checked_triples"] == 84
-        assert len(decided) >= 84 and decided.count(True) == 0
+        assert decided.count(True) == 0
+        assert len(sweeps) == 1 and from_qcc == []
 
     def test_out_flag_writes_file(self, tmp_path):
         path = write_json(tmp_path / "p1.json", P1_DOC)
@@ -589,7 +598,7 @@ class TestPinnedOutput:
             del report["timing"]
             reports.append(report)
         assert _sha256(json.dumps(reports, sort_keys=True)) == (
-            "e7ca88ab32d8ca29c32487af13c383d158097891adb7a96a5a97ed13ec36a3a2"
+            "eb5406f7c7c025e061983f3e99c32979fc37ac939b59a735bb129e89a5dbe8fb"
         )
 
     def test_analyze_reports_digest_without_witnesses(self):

@@ -312,9 +312,9 @@ class TestPlanarFeasible:
         assert result.witness.coordinates == (F(1), F(0))
         # a segment whose two weak constraints leave the single lam = 1/2
         constraints = ((F(1), F(-1), False), (F(-1), F(1), False))
-        assert exactlp._segment_interval(constraints) == (F(1, 2), F(1, 2))
+        assert exactlp.segment_interval(constraints) == (F(1, 2), F(1, 2))
         strict = ((F(1), F(-1), True), (F(-1), F(1), False))
-        assert exactlp._segment_interval(strict) is None
+        assert exactlp.segment_interval(strict) is None
 
     def test_half_open_certificate_needs_a_positive_first_multiplier(self, monkeypatch):
         # every b_s < 0, so (0, 1) would separate; the half-open system

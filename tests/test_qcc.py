@@ -3,19 +3,26 @@
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
 import qccheck.exactlp as exactlp
+import qccheck.qcc as qcc_module
 from qccheck import (
     Belief,
     DecisionProblem,
     GridSpec,
+    InternalInvariantError,
     LinearSystem,
     PolynomialProblem,
     check_qcc,
+    exact_check_two_state,
     find_grid_dip,
+    planar_feasible,
     random_problem,
     strict_feasible,
     unimodality_profile,
 )
+from qccheck.problems import integer_payoff
 
 
 def _reference_first_dip(problem):
@@ -127,6 +134,77 @@ class TestCheckQcc:
             problem = random_problem(seed=5300 + seed, actions=3, states=3, magnitude=4)
             if check_qcc(problem).holds:
                 assert find_grid_dip(problem, GridSpec(25, 3)) is None
+
+
+def _triple_scan_holds(problem):
+    """The triple scan's verdict: no triple's two strict dip rows hold
+    together anywhere, each decided in the plane."""
+    scaled = integer_payoff(problem)
+    return not any(
+        planar_feasible(
+            [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])], True
+        ).open_feasible
+        for i, j, k in itertools.combinations(range(problem.num_actions), 3)
+    )
+
+
+def _sweep_cases():
+    """3,000 seeded problems, 1-7 actions by 1-6 states; payoffs of magnitude
+    2 or 3 make ties common, 40 and 1000 make them rare."""
+    for case in range(3000):
+        actions, states = 1 + case % 7, 1 + case // 7 % 6
+        magnitude = (2, 3, 6, 40, 1000)[case // 42 % 5]
+        yield random_problem(14000 + case, actions, states, magnitude)
+
+
+class TestEdgeSweep:
+    def test_agrees_with_the_triple_scan_and_the_two_state_oracle(self):
+        holding = two_state = 0
+        for problem in _sweep_cases():
+            swept = qcc_module._edge_sweep(integer_payoff(problem))
+            assert swept == _triple_scan_holds(problem)
+            if problem.num_states == 2:
+                assert swept == exact_check_two_state(problem)[0]
+                two_state += 1
+            holding += swept
+        # both verdicts are common; a sixth of the problems have two states
+        assert 1000 <= holding <= 2000
+        assert two_state == 504
+
+    @pytest.mark.parametrize(
+        "matrix, split",
+        [
+            # action 0 is at most action 1 for lam >= 1/4, action 2 for
+            # lam <= 3/4: the later action takes [0, 3/4], the earlier [3/4, 1]
+            ([[0, -4], [-1, -1], [-4, 0]], (F(3, 4), False)),
+            # the two sides only touch, where all three actions tie
+            ([[1, -1], [0, 0], [-1, 1]], (F(1, 2), False)),
+            ([[-1, 1], [0, 0], [1, -1]], (F(1, 2), True)),
+            # one side is the whole edge
+            ([[0, 0], [1, 1], [2, -3]], (F(1), True)),
+            ([[2, -3], [1, 1], [0, 0]], (F(1), False)),
+        ],
+    )
+    def test_split_of_a_holding_edge(self, matrix, split):
+        problem = DecisionProblem.from_matrix(matrix)
+        ends = [(row[0], row[1]) for row in integer_payoff(problem)]
+        assert qcc_module._edge_split(ends, 1) == split
+        assert check_qcc(problem).holds
+
+    @pytest.mark.parametrize("corrupt", [F(1), F(0), F(1, 5), F(5, 4)])
+    def test_corrupted_split_raises(self, p1, corrupt, monkeypatch):
+        split = qcc_module._edge_split
+        monkeypatch.setattr(
+            qcc_module, "_edge_split", lambda ends, j: (corrupt, split(ends, j)[1])
+        )
+        with pytest.raises(InternalInvariantError) as raised:
+            check_qcc(p1)
+        assert raised.value.invariant == "qcc-edge-split"
+
+    def test_one_state_reads_the_column(self):
+        assert check_qcc(DecisionProblem.from_matrix([[1], [3], [3], [2]])).checked_triples == 4
+        verdict = check_qcc(DecisionProblem.from_matrix([[1], [0], [3], [2]]))
+        assert verdict.counterexample.triple == (0, 1, 2)
 
 
 def _scaled_shifted(problem, alpha, offsets):
