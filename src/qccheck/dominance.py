@@ -240,10 +240,10 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
     is removed, repeatedly, until none remains.  An action strictly best in
     some state, at the uniform belief, or somewhere on an edge is undominated
     by inspection and takes that belief, stepped into the interior, as its
-    witness; every other scanned action gets one mixture LP.  Each distinct action's
-    dominance question is settled once: a unique-optimality witness stays one
-    when other actions are removed, so the actions before a removal stay
-    undominated and the scan resumes at the removal point.  A survivor's
+    witness; every other scanned action gets one mixture LP.  Each distinct
+    action's dominance question is settled once: a unique-optimality witness
+    stays one when other actions are removed, so the actions before a removal
+    stay undominated and the scan resumes at the removal point.  A survivor's
     witness may therefore have been found while more actions were active;
     every witness is re-verified by substitution on the surviving problem,
     and a failure is an internal error because it contradicts the dominance
