@@ -18,24 +18,24 @@ scanned action is screened by inspection: an action strictly best in some
 state, uniquely best at the uniform belief, or uniquely best somewhere on an
 edge between two point masses has that belief as a witness (stepped into the
 interior the same way), so by duality it is undominated and needs no LP.  On
-edge (s, t) the expected payoffs are lines in lam, the weight on t, so the
-set where the action beats every other one is an open interval cut out by
-half-lines (`exactlp.segment_interval`); its middle is the belief.  The
-screen is sufficient, not necessary: an action may be uniquely optimal only
-in the interior, since the Caratheodory argument that brings two strict rows
-to an edge (see `qcc`) does not reach m - 1 of them.  The mixture LP settles
-what the screen leaves.
+an edge the expected payoffs are lines in lam, so the set where the action
+beats every other one is an open interval cut out by half-lines; the edge
+step is `exactlp.edge_witness` on the action's margins over the others, the
+middle of the first such interval.  The screen is sufficient, not necessary:
+an action may be uniquely optimal only in the interior, since the
+Caratheodory argument that brings two strict rows to an edge (see `qcc`)
+does not reach m - 1 of them.  The mixture LP settles what the screen
+leaves.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, segment_interval, solve, strict_feasible
+from .exactlp import LinearSystem, edge_witness, solve, strict_feasible
 from .problems import Belief, DecisionProblem, integer_payoff
 
 RemovalReason = Literal["duplicate", "mixed-dominated"]
@@ -200,16 +200,8 @@ def _screened_witness(problem: DecisionProblem, action_index: int) -> Optional[B
     total = sum(target)
     if all(sum(row) < total for row in others):
         return Belief.uniform(n)
-    for s, t in itertools.combinations(range(n), 2):
-        interval = segment_interval(
-            (target[s] - row[s], target[t] - row[t], True) for row in others
-        )
-        if interval is not None:
-            lam = (interval[0] + interval[1]) / 2
-            coords = [Fraction(0)] * n
-            coords[s], coords[t] = 1 - lam, lam
-            return Belief(tuple(coords))
-    return None
+    margins = [[value - row[state] for row in others] for state, value in enumerate(target)]
+    return edge_witness(margins, (True,) * len(others))
 
 
 def _verify_mixture(

@@ -22,25 +22,26 @@ maximized.  The open system has a solution over the simplex if and only if
 the optimum t* is strictly positive; the compactness of the simplex makes
 this criterion exact.
 
-Two-row systems a.x > 0, b.x > 0 (or b.x >= 0) are decided in the plane,
-with no simplex at all (`planar_feasible`).  Each state s maps to the point
-(a_s, b_s), and the beliefs map onto the convex hull of these points, so the
-system holds somewhere exactly when the hull meets the open quadrant (or the
-quadrant with its positive a-axis).  If it does, some vertex or edge of a
-Caratheodory triangle meets it too, so the point masses and the pairwise
-segments settle the question: the witness is a point mass or a point on one
-segment.  Otherwise the answer is a Motzkin certificate (Motzkin 1936):
-multipliers (alpha, beta) >= 0, positive on a strict row, with
-alpha a_s + beta b_s <= 0 for every state.  Both answers are re-verified by
-substitution on the points, which may be integers: one positive scale
-factor leaves the witness unchanged, as its ends are roots -u / (v - u).
-The interval on one segment comes from `segment_interval`, which `qcc` and
-`dominance` also run on the edges of the simplex.
+`edge_witness` is the one search for a belief on the point masses and edges
+of the simplex, shared by `qcc`, nesting and the elimination screen: the
+first point mass where every row holds, else the middle of the interval
+`segment_interval` finds on the first edge that has one.  The belief is
+re-verified by substitution on the rows, which may be integers: one
+positive scale factor leaves it unchanged, as its ends are roots
+-u / (v - u).  For two rows the search is complete.  Each state s maps to
+the point (a_s, b_s) and the beliefs onto the convex hull of these points;
+if the hull meets the open quadrant (or the quadrant with its positive
+a-axis), some vertex or edge of a Caratheodory triangle meets it too.
+`planar_feasible` answers nesting's half-open question a.x > 0, b.x >= 0
+with that witness or, when there is none, a Motzkin certificate (Motzkin
+1936): alpha > 0 and beta >= 0 with alpha a_s + beta b_s <= 0 for every
+state, also re-verified on the points.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -146,7 +147,8 @@ class LPResult:
     that case.  When `solve` finds a system infeasible, `farkas` holds the
     row multipliers that certify it (see the module docstring), aligned with
     the system's rows; from `planar_feasible` it holds the Motzkin
-    (alpha, beta) of the two rows.  It is None otherwise.
+    (alpha, beta), with alpha > 0, that certifies no belief gives a.x > 0
+    and b.x >= 0.  It is None otherwise.
     """
 
     status: LPStatus
@@ -389,59 +391,63 @@ def strict_feasible(system: LinearSystem) -> LPResult:
     return LPResult(LPStatus.OPTIMAL, value=t_star, witness=witness, slack=t_star)
 
 
-def planar_feasible(points: Sequence[tuple[Rational, Rational]], strict: bool) -> LPResult:
-    """Decide a.x > 0 and b.x > 0 (or b.x >= 0 when not `strict`) over the
-    simplex, in the plane of the points (a_s, b_s), one per state.
+def planar_feasible(points: Sequence[tuple[Rational, Rational]]) -> LPResult:
+    """Decide a.x > 0 and b.x >= 0 over the simplex, in the plane of the
+    points (a_s, b_s), one per state.
 
-    The result carries either a witness (a point mass, or a point on the
-    segment between two point masses) or a Motzkin certificate in `farkas`;
-    both are re-verified by substitution on the points.  See the module
-    docstring.
+    The result carries either the witness of `edge_witness` or a Motzkin
+    certificate (alpha, beta) in `farkas`, with alpha > 0, re-verified by
+    substitution on the points.  See the module docstring.
     """
-    witness = _planar_witness(points, strict)
+    witness = edge_witness(points, (True, False))
     if witness is not None:
-        a, b = (sum(p[r] * x for p, x in zip(points, witness.coordinates)) for r in (0, 1))
-        if not (a > 0 and (b > 0 or (b == 0 and not strict))):
-            raise InternalInvariantError(
-                "lp-witness-substitution",
-                f"witness {witness.coordinates} gives ({a}, {b}) for {points}",
-            )
         return LPResult(LPStatus.OPTIMAL, witness=witness)
-    farkas = _motzkin_multipliers(points, strict)
+    farkas = _motzkin_multipliers(points)
     if farkas is None:
         raise InternalInvariantError(
             "lp-planar-alternative", f"neither a witness nor a certificate for {points}"
         )
     alpha, beta = farkas
-    if min(alpha, beta) < 0 or not (alpha > 0 or (strict and beta > 0)) or any(
-        alpha * a + beta * b > 0 for a, b in points
-    ):
+    if alpha <= 0 or beta < 0 or any(alpha * a + beta * b > 0 for a, b in points):
         raise InternalInvariantError(
             "lp-farkas-substitution", f"multipliers {farkas} do not separate {points}"
         )
     return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
 
 
-def _planar_witness(points: Sequence[tuple[Rational, Rational]], strict: bool) -> Optional[Belief]:
-    """A belief whose image lies in the quadrant, from the point masses first
-    and then the segments; the middle of the segment's feasible interval."""
-    n = len(points)
-    for s, (a, b) in enumerate(points):
-        if a > 0 and (b > 0 or (b == 0 and not strict)):
+def edge_witness(
+    columns: Sequence[Sequence[Rational]], strict: Sequence[bool]
+) -> Optional[Belief]:
+    """A belief where every row r holds: sum_s columns[s][r] x_s > 0 when
+    `strict[r]`, >= 0 otherwise.  `columns[s]` holds the rows' values at
+    state s.  The first point mass where they all hold, else the middle of
+    `segment_interval` on the first edge (s, t) that has one, else None.  A
+    point mass is found by substitution itself; an edge belief is
+    re-verified by substitution at its lam, the weight on t."""
+    n = len(columns)
+    for s, column in enumerate(columns):
+        if all(map(_holds, column, strict)):
             return Belief.point_mass(s, n)
-    for s in range(n):
-        a_s, b_s = points[s]
-        for t in range(s + 1, n):
-            a_t, b_t = points[t]
-            if (a_s <= 0 and a_t <= 0) or (b_s < 0 and b_t < 0):
-                continue
-            interval = segment_interval(((a_s, a_t, True), (b_s, b_t, strict)))
-            if interval is not None:
-                lam = (interval[0] + interval[1]) / 2
-                coords = [_ZERO] * n
-                coords[s], coords[t] = _ONE - lam, lam
-                return Belief(tuple(coords))
+    for s, t in itertools.combinations(range(n), 2):
+        interval = segment_interval(zip(columns[s], columns[t], strict))
+        if interval is not None:
+            lam = (interval[0] + interval[1]) / 2
+            p, q = lam.numerator, lam.denominator
+            # (1 - lam) u + lam v at lam = p / q, times q
+            if not all(_holds((q - p) * u + p * v, row_strict)
+                       for u, v, row_strict in zip(columns[s], columns[t], strict)):
+                raise InternalInvariantError(
+                    "lp-witness-substitution",
+                    f"lam = {lam} on edge ({s}, {t}) fails a row of {columns}",
+                )
+            coords = [_ZERO] * n
+            coords[s], coords[t] = _ONE - lam, lam
+            return Belief(tuple(coords))
     return None
+
+
+def _holds(value: Rational, strict: bool) -> bool:
+    return value > 0 or (value == 0 and not strict)
 
 
 def segment_interval(
@@ -468,17 +474,15 @@ def segment_interval(
 
 
 def _motzkin_multipliers(
-    points: Sequence[tuple[Rational, Rational]], strict: bool
+    points: Sequence[tuple[Rational, Rational]]
 ) -> Optional[tuple[Rational, Rational]]:
-    """(alpha, beta) >= 0 with alpha a_s + beta b_s <= 0 for every point,
-    alpha > 0 when only the first row is strict and (alpha, beta) != 0
-    otherwise; the candidates are the axes and the normals of the lines
-    through the origin and each point."""
-    candidates = [(1, 0), (0, 1)] + [(abs(b), abs(a)) for a, b in points]
+    """(alpha, beta) with alpha > 0, beta >= 0 and alpha a_s + beta b_s <= 0
+    for every point; the candidates are the first axis and the normals of
+    the lines through the origin and each point."""
+    candidates = [(1, 0)] + [(abs(b), abs(a)) for a, b in points]
     for alpha, beta in candidates:
-        if alpha > 0 or (strict and beta > 0):
-            if all(alpha * a + beta * b <= 0 for a, b in points):
-                return alpha, beta
+        if alpha > 0 and all(alpha * a + beta * b <= 0 for a, b in points):
+            return alpha, beta
     return None
 
 

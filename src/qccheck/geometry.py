@@ -16,8 +16,10 @@ when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
 below i0 can have one.  An exact LP is solved only for the pairs from i0
 on.  The nesting questions are two-row systems, decided in the plane with
 no LP (`exactlp.planar_feasible`) on points read off the payoffs scaled
-once to integers (`problems.integer_payoff`).  Every reported failure
-belief is re-verified by substitution on the exact payoffs.
+once to integers (`problems.integer_payoff`): a belief comes from
+`exactlp.edge_witness`, and "no belief" rests on a verified Motzkin
+(alpha, beta).  Every reported failure belief is re-verified by
+substitution on the exact payoffs.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _beats_without(
     (p, q), (r, s) = positive, nonpositive
     points = [(up - uq, us - ur)
               for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
-    belief = planar_feasible(points, strict=False).witness
+    belief = planar_feasible(points).witness
     if belief is None:
         return None
     value = problem.expected_payoff

@@ -22,12 +22,10 @@ are linear in lam.  A one-state problem has no edge and is decided on its
 single column.
 
 When the sweep finds a dip, the triples are scanned in lexicographic order,
-each decided exactly in the plane of the points (u_i - u_j, u_k - u_j) over
-the states (`exactlp.planar_feasible`).  The first feasible pattern yields a
-counterexample belief that is re-verified pointwise before being reported;
-each infeasible one before it comes with a verified Motzkin certificate
-(alpha, beta): action j weakly dominates the mixture of i and k with weights
-proportional to alpha and beta.
+each decided by the same sweep on its three rows, so every triple passed
+over rests on verified splits too.  The first triple with a dip gets its
+belief from `exactlp.edge_witness` on the points (u_i - u_j, u_k - u_j),
+one per state; it is re-verified pointwise before being reported.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .exactlp import planar_feasible, segment_interval
+from .exactlp import edge_witness, segment_interval
 from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
 
 
@@ -75,34 +73,35 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
 
     The edge sweep decides the question; a holding verdict counts all
     C(m, 3) triples as checked, since the sweep has settled each of them.
-    When the sweep finds a dip, triples are examined in lexicographic order
-    and the first feasible dip is returned as the counterexample.  With
-    fewer than three actions the property holds vacuously.
+    When the sweep finds a dip, triples are swept one by one in
+    lexicographic order and the first with a dip is returned as the
+    counterexample.  With fewer than three actions the property holds
+    vacuously.
     """
     scaled = integer_payoff(problem)
     if _edge_sweep(scaled):
         return QccVerdict(
             holds=True, counterexample=None, checked_triples=math.comb(problem.num_actions, 3)
         )
-    count = 0
-    for i, j, k in itertools.combinations(range(problem.num_actions), 3):
-        count += 1
-        # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
-        points = [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])]
-        belief = planar_feasible(points, strict=True).witness
-        if belief is not None:
-            values, unimodal = unimodality_profile(problem, belief)
-            if unimodal or not (values[j] < values[i] and values[j] < values[k]):
-                raise InternalInvariantError(
-                    "qcc-counterexample-substitution",
-                    f"belief {belief.coordinates} does not realize the dip "
-                    f"({i}, {j}, {k})",
-                )
-            dip = QccCounterexample(belief, (i, j, k), (values[i], values[j], values[k]))
-            return QccVerdict(holds=False, counterexample=dip, checked_triples=count)
-    raise InternalInvariantError(
-        "qcc-edge-sweep", "the edge sweep found a dip that no triple realizes"
-    )
+    belief = None
+    for count, (i, j, k) in enumerate(itertools.combinations(range(problem.num_actions), 3), 1):
+        if not _edge_sweep([scaled[i], scaled[j], scaled[k]]):
+            # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
+            points = [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])]
+            belief = edge_witness(points, (True, True))
+            break
+    if belief is None:
+        raise InternalInvariantError(
+            "qcc-edge-sweep", "the edge sweep found a dip that no belief on an edge realizes"
+        )
+    values, unimodal = unimodality_profile(problem, belief)
+    if unimodal or not (values[j] < values[i] and values[j] < values[k]):
+        raise InternalInvariantError(
+            "qcc-counterexample-substitution",
+            f"belief {belief.coordinates} does not realize the dip ({i}, {j}, {k})",
+        )
+    dip = QccCounterexample(belief, (i, j, k), (values[i], values[j], values[k]))
+    return QccVerdict(holds=False, counterexample=dip, checked_triples=count)
 
 
 def _edge_sweep(scaled: list[list[int]]) -> bool:

@@ -223,14 +223,15 @@ class TestCommands:
         # convexity reads the unimodality verdict instead of deciding dips
         # again, and the holding verdict comes from the edge sweep alone
         inside, decided, from_qcc, sweeps = [], [], [], []
-        for module, calls in ((geometry_module, decided), (qcc_module, from_qcc)):
-            planar = module.planar_feasible
+        for module, name, calls in ((geometry_module, "planar_feasible", decided),
+                                    (qcc_module, "edge_witness", from_qcc)):
+            search = getattr(module, name)
 
-            def counting(points, strict, planar=planar, calls=calls):
+            def counting(*args, search=search, calls=calls):
                 calls.append(bool(inside))
-                return planar(points, strict)
+                return search(*args)
 
-            monkeypatch.setattr(module, "planar_feasible", counting)
+            monkeypatch.setattr(module, name, counting)
         sweep = qcc_module._edge_sweep
 
         def spied(scaled):
@@ -627,15 +628,31 @@ class TestPinnedOutput:
         )
 
 
+def _bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestTracedBenchmarkSites:
     def test_every_traced_cli_name_exists(self):
         # bench/run.py --trace 1 wraps these names in qccheck.cli by attribute
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _bench_tracing()
         missing = [
             name for name in {**tracing.CLI_SITES, **tracing.TOP_SITES}
             if not hasattr(cli_module, name)
         ]
         assert missing == []
+
+    def test_traced_lp_names_exist(self):
+        # installed() skips a missing name silently, which would zero the
+        # benchmark's lp_calls counters; these are the pairs that exist
+        tracing = _bench_tracing()
+        present = {
+            f"{site}.{name}"
+            for site in tracing.LP_SITES for name in tracing.LP_FUNCTIONS
+            if hasattr(importlib.import_module(f"qccheck.{site}"), name)
+        }
+        assert present == {"dominance.solve", "dominance.strict_feasible", "geometry.solve"}

@@ -11,7 +11,6 @@ import pytest
 
 import qccheck.exactlp as exactlp
 from qccheck import (
-    Belief,
     DecisionProblem,
     GridSpec,
     InternalInvariantError,
@@ -225,14 +224,22 @@ def _random_points(rng):
     return _points(a, b)
 
 
-def certifies_motzkin(points, strict, farkas):
-    """The planar certificate, written out apart from the solver: (alpha,
-    beta) >= 0, alpha > 0 when only the first row is strict and nonzero
-    otherwise, and alpha a_s + beta b_s <= 0 in every state."""
+def certifies_motzkin(points, farkas):
+    """The half-open certificate, written out apart from the solver:
+    alpha > 0, beta >= 0, and alpha a_s + beta b_s <= 0 in every state."""
     alpha, beta = farkas
-    if alpha < 0 or beta < 0 or not (alpha > 0 or (strict and beta > 0)):
+    if alpha <= 0 or beta < 0:
         return False
     return all(alpha * a + beta * b <= 0 for a, b in points)
+
+
+def _decide(points, strict):
+    """The belief for both rows, a.x > 0 and b.x > 0 (or >= 0): the
+    strict question goes to `edge_witness`, the half-open one to
+    `planar_feasible`."""
+    if strict:
+        return exactlp.edge_witness(points, (True, True))
+    return planar_feasible(points).witness
 
 
 class TestPlanarFeasible:
@@ -244,16 +251,21 @@ class TestPlanarFeasible:
         for _ in range(700):
             points = _random_points(rng)
             reference = _reference_system(points, strict)
-            result = planar_feasible(points, strict)
-            assert result.open_feasible == strict_feasible(reference).open_feasible
-            seen[result.open_feasible] += 1
-            assert result.slack is None
-            if result.open_feasible:
-                assert result.farkas is None
-                assert all(row.satisfied_by(result.witness.coordinates) for row in reference.rows)
+            if strict:
+                witness = exactlp.edge_witness(points, (True, True))
             else:
-                assert result.status is LPStatus.INFEASIBLE and result.witness is None
-                assert certifies_motzkin(points, strict, result.farkas)
+                result = planar_feasible(points)
+                witness = result.witness
+                assert result.slack is None
+                if witness is not None:
+                    assert result.farkas is None
+                else:
+                    assert result.status is LPStatus.INFEASIBLE
+                    assert certifies_motzkin(points, result.farkas)
+            assert (witness is not None) == strict_feasible(reference).open_feasible
+            seen[witness is not None] += 1
+            if witness is not None:
+                assert all(row.satisfied_by(witness.coordinates) for row in reference.rows)
         assert seen[True] > 150 and seen[False] > 150
 
     def test_integer_points_give_the_fraction_witness(self):
@@ -267,23 +279,19 @@ class TestPlanarFeasible:
                           for s, (a, b) in enumerate(_random_points(rng))]
                 scaled = integer_payoff(DecisionProblem.from_matrix(points))
                 assert all(type(c) is int for point in scaled for c in point)
-                exact, integral = planar_feasible(points, strict), planar_feasible(scaled, strict)
-                assert integral.witness == exact.witness
-                assert integral.open_feasible == exact.open_feasible
-                if exact.open_feasible:
-                    segments += sum(c != 0 for c in exact.witness.coordinates) == 2
+                exact, integral = _decide(points, strict), _decide(scaled, strict)
+                assert integral == exact
+                if exact is not None:
+                    segments += sum(c != 0 for c in exact.coordinates) == 2
         assert segments > 50
 
     def test_one_state(self):
-        assert planar_feasible(_points([3], [1]), True).witness.coordinates == (F(1),)
-        assert planar_feasible(_points([3], [0]), False).open_feasible
-        for a, b, relation, farkas in [
-            ([3], [0], ">", (F(0), F(1))),
-            ([3], [-2], ">=", (F(2), F(3))),
-            ([0], [5], ">", (F(1), F(0))),
-            ([0], [0], ">=", (F(1), F(0))),
-        ]:
-            result = planar_feasible(_points(a, b), relation == ">")
+        assert exactlp.edge_witness(_points([3], [1]), (True, True)).coordinates == (F(1),)
+        assert planar_feasible(_points([3], [0])).open_feasible
+        assert exactlp.edge_witness(_points([3], [0]), (True, True)) is None
+        assert exactlp.edge_witness(_points([0], [5]), (True, True)) is None
+        for a, b, farkas in [([3], [-2], (F(2), F(3))), ([0], [0], (F(1), F(0)))]:
+            result = planar_feasible(_points(a, b))
             assert not result.open_feasible and result.farkas == farkas
 
     @pytest.mark.parametrize("scale", [F(2), F(0), F(-1)])
@@ -292,61 +300,61 @@ class TestPlanarFeasible:
         a = (F(-2), F(5), F(1))
         strict = relation == ">"
         points = _points(a, tuple(scale * x for x in a))
-        result = planar_feasible(points, strict)
-        assert result.open_feasible == strict_feasible(
-            _reference_system(points, strict)
-        ).open_feasible
-        assert result.open_feasible == (scale > 0 or (scale == 0 and not strict))
+        feasible = _decide(points, strict) is not None
+        assert feasible == strict_feasible(_reference_system(points, strict)).open_feasible
+        assert feasible == (scale > 0 or (scale == 0 and not strict))
 
     def test_edge_witness_is_the_middle_of_the_open_interval(self):
         # no point mass works; on the segment, 2 - 3 lam > 0 and -1 + 3 lam > 0
         # leave lam in (1/3, 2/3), and either end would make a row zero
-        result = planar_feasible(_points([2, -1], [-1, 2]), True)
-        assert result.witness.coordinates == (F(1, 2), F(1, 2))
-        result = planar_feasible(_points([0, 4, -4], [0, -1, 3]), False)
+        witness = exactlp.edge_witness(_points([2, -1], [-1, 2]), (True, True))
+        assert witness.coordinates == (F(1, 2), F(1, 2))
+        result = planar_feasible(_points([0, 4, -4], [0, -1, 3]))
         assert result.witness.coordinates == (F(0), F(5, 8), F(3, 8))
 
     def test_feasible_set_of_one_closed_point(self):
         # x1 - x2 > 0 and -x2 >= 0 hold only at the point mass on state 0
-        result = planar_feasible(_points([1, 1], [0, -1]), False)
+        result = planar_feasible(_points([1, 1], [0, -1]))
         assert result.witness.coordinates == (F(1), F(0))
         # a segment whose two weak constraints leave the single lam = 1/2
         constraints = ((F(1), F(-1), False), (F(-1), F(1), False))
         assert exactlp.segment_interval(constraints) == (F(1, 2), F(1, 2))
         strict = ((F(1), F(-1), True), (F(-1), F(1), False))
         assert exactlp.segment_interval(strict) is None
+        # the strict row opens the low end at 1/2; a weak row with the same
+        # root must not close it, so the closed high end 1/2 leaves nothing
+        constraints = [(-1, 1, True), (-1, 1, False), (1, -1, False)]
+        assert exactlp.segment_interval(constraints) is None
 
     def test_half_open_certificate_needs_a_positive_first_multiplier(self, monkeypatch):
         # every b_s < 0, so (0, 1) would separate; the half-open system
         # still gets alpha > 0, from the line through (2, -1)
         points = _points([2, -1], [-1, -3])
-        assert planar_feasible(points, False).farkas == (F(1), F(2))
-        # with both rows strict, beta alone is enough
-        assert planar_feasible(points, True).farkas == (F(0), F(1))
-        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: (0, 1))
+        assert planar_feasible(points).farkas == (F(1), F(2))
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: (0, 1))
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            planar_feasible(points, False)
+            planar_feasible(points)
 
     def test_corrupted_witness_raises(self, monkeypatch):
-        # (1/3, 2/3) lies on the feasible segment but makes the first row zero
-        wrong = Belief((F(1, 3), F(2, 3)))
-        monkeypatch.setattr(exactlp, "_planar_witness", lambda points, strict: wrong)
+        # lam = 2/3 gives (1/3, 2/3), on the feasible segment's closure but
+        # making the first row zero
+        monkeypatch.setattr(exactlp, "segment_interval", lambda constraints: (F(2, 3), F(2, 3)))
         with pytest.raises(InternalInvariantError, match="lp-witness-substitution"):
-            planar_feasible(_points([2, -1], [-1, 2]), True)
+            exactlp.edge_witness(_points([2, -1], [-1, 2]), (True, True))
 
     @pytest.mark.parametrize(
         "bad", [(F(0), F(0)), (F(-1), F(0)), (F(1), F(0)), (F(0), F(1))]
     )
     def test_corrupted_certificate_raises(self, bad, monkeypatch):
         # infeasible: the only state with a > 0 has b < 0
-        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: bad)
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: bad)
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            planar_feasible(_points([1, -1], [-1, 0]), False)
+            planar_feasible(_points([1, -1], [-1, 0]))
 
     def test_missing_alternative_raises(self, monkeypatch):
-        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: None)
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: None)
         with pytest.raises(InternalInvariantError, match="lp-planar-alternative"):
-            planar_feasible(_points([1, -1], [-1, 0]), False)
+            planar_feasible(_points([1, -1], [-1, 0]))
 
 
 class TestStrictAgainstGridOracle:

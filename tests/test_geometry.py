@@ -166,7 +166,7 @@ class TestArgmaxConvexity:
         qcc = check_qcc(problem)
         calls = _counted_solves(monkeypatch)
 
-        def no_planar(points, strict):
+        def no_planar(points):
             raise AssertionError("convexity decided a two-row system")
 
         monkeypatch.setattr(geometry, "planar_feasible", no_planar)

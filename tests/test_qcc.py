@@ -17,7 +17,6 @@ from qccheck import (
     check_qcc,
     exact_check_two_state,
     find_grid_dip,
-    planar_feasible,
     random_problem,
     strict_feasible,
     unimodality_profile,
@@ -138,14 +137,18 @@ class TestCheckQcc:
 
 def _triple_scan_holds(problem):
     """The triple scan's verdict: no triple's two strict dip rows hold
-    together anywhere, each decided in the plane."""
+    together at a point mass or on an edge, each searched by `edge_witness`."""
     scaled = integer_payoff(problem)
     return not any(
-        planar_feasible(
-            [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])], True
-        ).open_feasible
+        exactlp.edge_witness(
+            [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])], (True, True)
+        )
         for i, j, k in itertools.combinations(range(problem.num_actions), 3)
     )
+
+
+# the scan passes over (0, 1, 2) and (0, 1, 3) before the dip (0, 2, 3)
+SCAN_MATRIX = [[3, 0], [2, 2], [0, 3], [1, -5]]
 
 
 def _sweep_cases():
@@ -200,6 +203,29 @@ class TestEdgeSweep:
         with pytest.raises(InternalInvariantError) as raised:
             check_qcc(p1)
         assert raised.value.invariant == "qcc-edge-split"
+
+    @pytest.mark.parametrize("corrupt", [F(1), F(0), F(1, 5), F(5, 4)])
+    def test_corrupted_split_in_the_scan_raises(self, corrupt, monkeypatch):
+        # the sweep over all four actions finds the dip (0, 2, 3) at state 0
+        # uncorrupted; only the scan's three-action sweeps get the bad split
+        problem = DecisionProblem.from_matrix(SCAN_MATRIX)
+        assert check_qcc(problem).counterexample.triple == (0, 2, 3)
+        split = qcc_module._edge_split
+
+        def corrupted(ends, j):
+            found = split(ends, j)
+            return (corrupt, found[1]) if len(ends) == 3 and found is not None else found
+
+        monkeypatch.setattr(qcc_module, "_edge_split", corrupted)
+        with pytest.raises(InternalInvariantError) as raised:
+            check_qcc(problem)
+        assert raised.value.invariant == "qcc-edge-split"
+
+    def test_scan_dip_without_an_edge_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(qcc_module, "edge_witness", lambda columns, strict: None)
+        with pytest.raises(InternalInvariantError) as raised:
+            check_qcc(DecisionProblem.from_matrix(SCAN_MATRIX))
+        assert raised.value.invariant == "qcc-edge-sweep"
 
     def test_one_state_reads_the_column(self):
         assert check_qcc(DecisionProblem.from_matrix([[1], [3], [3], [2]])).checked_triples == 4
