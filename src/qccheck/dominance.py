@@ -25,11 +25,15 @@ middle of the first such interval.  The screen is sufficient, not necessary:
 an action may be uniquely optimal only in the interior, since the
 Caratheodory argument that brings two strict rows to an edge (see `qcc`)
 does not reach m - 1 of them.  The mixture LP settles what the screen
-leaves.
+leaves.  The payoffs are scaled to integers once (`problems.integer_payoff`):
+the screen, the step and every "uniquely best" check are integer dot
+products with a belief's numerators, as one positive scale changes no sign.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
@@ -117,15 +121,16 @@ def mixed_dominance_certificate(
     interior belief where the action is uniquely optimal, and that belief is
     re-verified by substitution, so an absent mixture is certified too.
     """
-    return _duality_check(problem, action_index)[0]
+    return _duality_check(problem, action_index, integer_payoff(problem))[0]
 
 
 def _duality_check(
-    problem: DecisionProblem, action_index: int
+    problem: DecisionProblem, action_index: int, scaled: list[list[int]]
 ) -> tuple[Optional[tuple[Fraction, ...]], Optional[Belief]]:
     """Both sides of one action's dominance duality from the mixture LP:
     (dominating mixture weights, None), or (None, an interior belief where
-    the action is uniquely optimal) read off the LP's Farkas certificate."""
+    the action is uniquely optimal) read off the LP's Farkas certificate.
+    `scaled` holds the payoffs times one positive integer."""
     problem._check_action(action_index)
     if problem.num_actions < 2:
         raise ValueError("mixed dominance needs at least two actions")
@@ -140,7 +145,7 @@ def _duality_check(
         assert result.farkas is not None
         total = sum(result.farkas, Fraction(0))
         ray = Belief(tuple(lam / total for lam in result.farkas))
-        return None, _interior_witness(problem, action_index, ray)
+        return None, _interior_witness(scaled, action_index, ray)
     assert result.witness is not None
     weights = [Fraction(0)] * problem.num_actions
     for j, w in zip(others, result.witness.coordinates):
@@ -150,7 +155,7 @@ def _duality_check(
 
 
 def _interior_witness(
-    problem: DecisionProblem, action_index: int, p: Belief
+    rows: list[list[int]], action_index: int, p: Belief
 ) -> Belief:
     """Step a belief p where the action is the only optimal one into the
     interior, keeping it the only optimal one.
@@ -160,21 +165,22 @@ def _interior_witness(
     d_j = uniform.(u_i - u_j), q = (1 - e) p + e uniform keeps every margin
     (1 - e) g_j + e d_j positive for
     e = min(1/2, min over d_j < 0 of g_j / (2 (g_j - d_j))).
+    On the integer rows (the payoffs times S), with p's numerators w over
+    their common denominator Q and n states, G_j = w.(r_i - r_j) is g_j Q S
+    and D_j = sum(r_i - r_j) is d_j n S, so the same e is
+    G_j n / (2 (G_j n - D_j Q)): the positive scales cancel in the ratio.
     """
-    uniform = Belief.uniform(problem.num_states)
-    at_p = problem.payoff_profile(p)
-    at_uniform = problem.payoff_profile(uniform)
+    n = len(p)
+    weights, q = _numerators(p)
+    at_p = [sum(map(operator.mul, weights, row)) for row in rows]
+    sums = [sum(row) for row in rows]
     epsilon = Fraction(1, 2)
-    for j in range(problem.num_actions):
-        g = at_p[action_index] - at_p[j]
-        d = at_uniform[action_index] - at_uniform[j]
-        if d < 0:
-            epsilon = min(epsilon, g / (2 * (g - d)))
-    witness = Belief(tuple(
-        (1 - epsilon) * a + epsilon * b
-        for a, b in zip(p.coordinates, uniform.coordinates)
-    ))
-    if not witness.is_interior or problem.argmax_set(witness) != {action_index}:
+    for at_j, sum_j in zip(at_p, sums):
+        g, d = at_p[action_index] - at_j, sums[action_index] - sum_j
+        if d < 0 < g:  # with d < 0 and g <= 0 no step helps; the check raises
+            epsilon = min(epsilon, Fraction(g * n, 2 * (g * n - d * q)))
+    witness = Belief(tuple((1 - epsilon) * a + epsilon / n for a in p.coordinates))
+    if not witness.is_interior or not _uniquely_best(rows, action_index, witness):
         raise InternalInvariantError(
             "dominance-duality",
             f"action {action_index}: the belief {witness.coordinates} stepped "
@@ -184,16 +190,29 @@ def _interior_witness(
     return witness
 
 
-def _screened_witness(problem: DecisionProblem, action_index: int) -> Optional[Belief]:
-    """A belief where the action is the only optimal one, found by inspection:
-    the point mass on the first state where it beats every other action, else
-    the uniform belief if it beats them all there, else the middle of the
-    open interval where it beats them all on the first edge (s, t) that has
-    one; None if none of these."""
-    n = problem.num_states
-    scaled = integer_payoff(problem)
-    target = scaled[action_index]
-    others = scaled[:action_index] + scaled[action_index + 1:]
+def _numerators(belief: Belief) -> tuple[list[int], int]:
+    """The belief's coordinates as integers over their common denominator."""
+    q = math.lcm(*(c.denominator for c in belief.coordinates))
+    return [c.numerator * (q // c.denominator) for c in belief.coordinates], q
+
+
+def _uniquely_best(rows: list[list[int]], action_index: int, belief: Belief) -> bool:
+    """Whether the action alone attains the top expected payoff at the
+    belief, by integer dot products with the belief's numerators."""
+    weights = _numerators(belief)[0]
+    at = [sum(map(operator.mul, weights, row)) for row in rows]
+    return all(v < at[action_index] for j, v in enumerate(at) if j != action_index)
+
+
+def _screened_witness(rows: list[list[int]], action_index: int) -> Optional[Belief]:
+    """A belief where the action is the only optimal one, found by inspection
+    on the integer rows: the point mass on the first state where it beats
+    every other action, else the uniform belief if it beats them all there,
+    else the middle of the open interval where it beats them all on the
+    first edge (s, t) that has one; None if none of these."""
+    target = rows[action_index]
+    n = len(target)
+    others = rows[:action_index] + rows[action_index + 1:]
     for state, value in enumerate(target):
         if all(row[state] < value for row in others):
             return Belief.point_mass(state, n)
@@ -255,15 +274,17 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
             active.append(i)
 
     found: dict[int, Belief] = {}
+    scaled = integer_payoff(problem)
+    rows = [scaled[i] for i in active]
     surviving = problem.restrict_actions(active)
     position = 0
     while 1 < len(active) and position < len(active):
-        screened = _screened_witness(surviving, position)
+        screened = _screened_witness(rows, position)
         if screened is not None:
-            found[active[position]] = _interior_witness(surviving, position, screened)
+            found[active[position]] = _interior_witness(rows, position, screened)
             position += 1
             continue
-        weights, witness = _duality_check(surviving, position)
+        weights, witness = _duality_check(surviving, position, rows)
         if weights is None:
             found[active[position]] = witness
             position += 1
@@ -271,6 +292,7 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
         mixture = tuple((active[j], w) for j, w in enumerate(weights) if w != 0)
         removed.append(RemovedAction(active[position], "mixed-dominated", mixture))
         del active[position]
+        del rows[position]
         surviving = problem.restrict_actions(active)
 
     witnesses = []
@@ -278,8 +300,7 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
         # A lone survivor the scan never reached is the only action, so it
         # is uniquely optimal everywhere; the uniform belief is interior.
         witness = found.get(original, Belief.uniform(problem.num_states))
-        if (not witness.is_interior
-                or surviving.argmax_set(witness) != {position}):
+        if not witness.is_interior or not _uniquely_best(rows, position, witness):
             raise InternalInvariantError(
                 "post-elimination-certification",
                 f"surviving action {original} has no interior "

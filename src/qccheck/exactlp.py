@@ -455,21 +455,28 @@ def segment_interval(
 ) -> Optional[tuple[Fraction, Fraction]]:
     """The closure [lo, hi] of the set of lambda in [0, 1] with
     (1 - lambda) u + lambda v > 0 (or >= 0 when not strict) for every
-    (u, v, strict), or None when that set is empty."""
-    lo, lo_open, hi, hi_open = _ZERO, False, _ONE, False
+    (u, v, strict), or None when that set is empty.  On integer inputs the
+    bounds stay integer pairs until the result is built."""
+    # Each bound is a root -u / slope kept as (numerator, positive
+    # denominator); two roots compare by cross-multiplication.
+    lo, lo_den, lo_open, hi, hi_den, hi_open = 0, 1, False, 1, 1, False
     for u, v, strict in constraints:
         slope = v - u
         if slope == 0:
             if u < 0 or (u == 0 and strict):
                 return None
             continue
-        root = Fraction(-u, slope)  # exact on ints, where -u / slope is a float
-        if slope > 0 and (root > lo or (root == lo and strict)):
-            lo, lo_open = root, strict
-        elif slope < 0 and (root < hi or (root == hi and strict)):
-            hi, hi_open = root, strict
-    if lo < hi or (lo == hi and not lo_open and not hi_open):
-        return lo, hi
+        if slope > 0:
+            ahead = -u * lo_den - lo * slope  # sign of root - lo
+            if ahead > 0 or (ahead == 0 and strict):
+                lo, lo_den, lo_open = -u, slope, strict
+        else:
+            ahead = u * hi_den + hi * slope  # sign of root - hi
+            if ahead < 0 or (ahead == 0 and strict):
+                hi, hi_den, hi_open = u, -slope, strict
+    gap = hi * lo_den - lo * hi_den
+    if gap > 0 or (gap == 0 and not lo_open and not hi_open):
+        return Fraction(lo, lo_den), Fraction(hi, hi_den)
     return None
 
 

@@ -19,6 +19,7 @@ from qccheck import (
 import qccheck.dominance as dominance_module
 from qccheck.dominance import _duality_check, _verify_mixture
 from qccheck.oracle import SplitMix64
+from qccheck.problems import integer_payoff
 
 
 def mixture_dominates(problem, action_index, weights):
@@ -96,7 +97,7 @@ class TestWitnessFromFarkasRay:
         """Returns how many actions are essential (have a witness)."""
         essential = 0
         for action in range(problem.num_actions):
-            weights, witness = _duality_check(problem, action)
+            weights, witness = _duality_check(problem, action, integer_payoff(problem))
             assert (weights is None) != (witness is None)
             assert (weights is None) == (unique_optimality_witness(problem, action) is not None)
             if weights is not None:
@@ -135,7 +136,7 @@ class TestWitnessFromFarkasRay:
     )
     def test_boundary_ray_moves_inside(self, matrix, action, witness):
         problem = DecisionProblem.from_matrix(matrix)
-        weights, found = _duality_check(problem, action)
+        weights, found = _duality_check(problem, action, integer_payoff(problem))
         assert weights is None
         assert found.coordinates == witness
         self.check_both_routes(problem)
@@ -143,14 +144,14 @@ class TestWitnessFromFarkasRay:
     def test_one_state_problem(self):
         # the only belief is interior, and only the best action is essential
         problem = DecisionProblem.from_matrix([[1], [4], [2]])
-        assert _duality_check(problem, 1) == (None, Belief((F(1),)))
+        assert _duality_check(problem, 1, integer_payoff(problem)) == (None, Belief((F(1),)))
         assert self.check_both_routes(problem) == 1
 
     def test_duplicate_rows(self):
         # each copy is dominated by the other; the third action is not
         problem = DecisionProblem.from_matrix([[1, 1], [1, 1], [0, 3]])
-        assert _duality_check(problem, 0)[0] == (F(0), F(1), F(0))
-        assert _duality_check(problem, 1)[0] == (F(1), F(0), F(0))
+        assert _duality_check(problem, 0, integer_payoff(problem))[0] == (F(0), F(1), F(0))
+        assert _duality_check(problem, 1, integer_payoff(problem))[0] == (F(1), F(0), F(0))
         assert self.check_both_routes(problem) == 1
 
 
@@ -339,23 +340,25 @@ class TestEliminationScreen:
         screen = dominance_module._screened_witness
         screened = []
 
-        def recorded(problem, action):
-            start = screen(problem, action)
+        def recorded(rows, action):
+            start = screen(rows, action)
             if start is not None:
-                screened.append(problem.payoff[action])
+                screened.append(rows[action])
             return start
 
         settled, reasons = 0, []
         for problem in screen_cases():
-            monkeypatch.setattr(dominance_module, "_screened_witness", lambda problem, action: None)
+            monkeypatch.setattr(dominance_module, "_screened_witness", lambda rows, action: None)
             reference = iterated_elimination(problem)
             monkeypatch.setattr(dominance_module, "_screened_witness", recorded)
             screened.clear()
             report = iterated_elimination(problem)
             assert report.surviving_indices == reference.surviving_indices
             assert report.removed == reference.removed
-            # a screened action has a witness, so it is never removed
-            rows = report.surviving.payoff
+            # a screened action has a witness, so it is never removed; the
+            # screen sees the input problem's integer rows, one per survivor
+            scaled = integer_payoff(problem)
+            rows = [scaled[i] for i in report.surviving_indices]
             assert all(row in rows for row in screened)
             for row in screened:
                 witness = report.witnesses[rows.index(row)]
@@ -407,7 +410,7 @@ class TestEliminationLpCount:
     def test_one_lp_per_action_when_nothing_is_removed(self, actions, monkeypatch):
         # with the screen switched off every scanned action is settled by
         # exactly one LP, and the LP path alone still removes nothing
-        monkeypatch.setattr(dominance_module, "_screened_witness", lambda problem, action: None)
+        monkeypatch.setattr(dominance_module, "_screened_witness", lambda rows, action: None)
         report, lps = self.count_lps(CONCAVE_POLY.discretize(actions), monkeypatch)
         assert report.removed == ()
         assert lps == actions
@@ -423,3 +426,101 @@ class TestEliminationLpCount:
         report, count = self.count_lps(DecisionProblem.from_matrix(matrix), monkeypatch)
         assert len(report.witnesses) == 1
         assert count == lps
+
+
+class TestIntegerSubstitution:
+    """The elimination's "uniquely best" check, integer dot products on the
+    scaled payoffs, against `argmax_set` on the exact ones."""
+
+    def test_matches_argmax_set_on_seeded_problems(self):
+        rng = SplitMix64(1868)
+        unique = tied = 0
+        for case in range(120):
+            states, actions = 1 + case % 4, 2 + case % 5
+            problem = random_problem(rng.next_uint64(), actions, states, 1 + case % 3)
+            problem = DecisionProblem.from_matrix([
+                [v / (1 + rng.next_below(4)) for v in row] for row in problem.payoff
+            ])
+            rows = integer_payoff(problem)
+            beliefs = list(grid_beliefs(GridSpec(4, states)))
+            for _ in range(3):
+                weights = [1 + rng.next_below(9) for _ in range(states)]
+                beliefs.append(Belief(tuple(F(w, sum(weights)) for w in weights)))
+            for belief in beliefs:
+                optimal = problem.argmax_set(belief)
+                unique += len(optimal) == 1
+                tied += len(optimal) > 1
+                for action in range(actions):
+                    assert dominance_module._uniquely_best(rows, action, belief) == (
+                        optimal == {action}
+                    )
+        # small payoffs make ties common, so both answers are exercised
+        assert unique > 1500 and tied > 100
+
+    def test_a_tie_is_not_unique(self):
+        problem = DecisionProblem.from_matrix([[1, 0], [0, 1], [F(1, 4), F(1, 4)]])
+        rows = integer_payoff(problem)
+        uniform = Belief.uniform(2)
+        assert problem.argmax_set(uniform) == {0, 1}
+        assert not any(dominance_module._uniquely_best(rows, a, uniform) for a in range(3))
+        assert dominance_module._uniquely_best(rows, 0, Belief((F(3, 5), F(2, 5))))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # the uniform belief ties the two actions, and the step keeps it there
+            [[1, 0], [0, 1]],
+            # action 0 loses at the start and at the uniform belief alike
+            # (g = d < 0), so the step's ratio would have a zero denominator
+            [[0, 0], [1, 1], [0, 3]],
+        ],
+    )
+    def test_corrupt_stepped_belief_raises(self, matrix, monkeypatch):
+        problem = DecisionProblem.from_matrix(matrix)
+        monkeypatch.setattr(
+            dominance_module, "_screened_witness", lambda rows, action: Belief.uniform(2)
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            iterated_elimination(problem)
+        assert caught.value.invariant == "dominance-duality"
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            lambda rows, action, p: Belief.uniform(2),  # action 1 loses there
+            lambda rows, action, p: p,  # a point mass is not interior
+        ],
+    )
+    def test_corrupt_stored_witness_raises(self, stored, monkeypatch):
+        problem = DecisionProblem.from_matrix([[3, 0], [0, 1]])
+        monkeypatch.setattr(dominance_module, "_interior_witness", stored)
+        with pytest.raises(InternalInvariantError) as caught:
+            iterated_elimination(problem)
+        assert caught.value.invariant == "post-elimination-certification"
+
+
+class TestEliminationPayoffCount:
+    def test_integer_payoff_once_and_no_fraction_profile(self, monkeypatch):
+        # 3 states, parabolas peaking at 0, 1/2 and 1: every action survives
+        poly = PolynomialProblem(
+            (F(0), F(1)),
+            ("low", "mid", "high"),
+            ((F(0), F(0), F(-1)), (F(-1, 4), F(1), F(-1)), (F(-1), F(2), F(-1))),
+        )
+        problem = poly.discretize(9)
+        calls = {"payoff_profile": 0, "integer_payoff": 0}
+        profile, scale = DecisionProblem.payoff_profile, dominance_module.integer_payoff
+
+        def counted_profile(self, belief):
+            calls["payoff_profile"] += 1
+            return profile(self, belief)
+
+        def counted_scale(problem):
+            calls["integer_payoff"] += 1
+            return scale(problem)
+
+        monkeypatch.setattr(DecisionProblem, "payoff_profile", counted_profile)
+        monkeypatch.setattr(dominance_module, "integer_payoff", counted_scale)
+        report = iterated_elimination(problem)
+        assert calls == {"payoff_profile": 0, "integer_payoff": 1}
+        assert report.removed == () and len(report.witnesses) == 9

@@ -357,6 +357,75 @@ class TestPlanarFeasible:
             planar_feasible(_points([1, -1], [-1, 0]))
 
 
+def reference_interval(constraints):
+    """The closure of {lam in [0, 1]: every constraint holds}, in plain
+    Fractions and apart from the solver.  The set is an interval whose ends
+    are among 0, 1 and the roots, and no constraint changes sign between two
+    neighbouring ones, so those points and the middles between them decide
+    it: an end is the last point at or before the first feasible candidate,
+    or the first at or after the last one."""
+    rows = [(F(u), F(v), strict) for u, v, strict in constraints]
+    points = {F(0), F(1)}
+    for u, v, _ in rows:
+        if u != v and 0 <= u / (u - v) <= 1:
+            points.add(u / (u - v))
+    ordered = sorted(points)
+
+    def holds(lam):
+        values = [((1 - lam) * u + lam * v, strict) for u, v, strict in rows]
+        return all(value > 0 or (value == 0 and not strict) for value, strict in values)
+
+    candidates = ordered + [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
+    feasible = [lam for lam in candidates if holds(lam)]
+    if not feasible:
+        return None
+    return (max(p for p in ordered if p <= min(feasible)),
+            min(p for p in ordered if p >= max(feasible)))
+
+
+def seeded_constraints(rng, case):
+    """One to five constraints with entries in -3..3, Fractions in every
+    other case; a third of the rows repeat the previous root, scaled, with
+    a freshly drawn strictness, so strict and weak roots often coincide."""
+    out = []
+    for _ in range(1 + rng.next_below(5)):
+        strict = rng.next_below(2) == 1
+        if out and rng.next_below(3) == 0:
+            u, v, _ = out[-1]
+            k = 1 + rng.next_below(3)
+            out.append((k * u, k * v, strict))
+            continue
+        u, v = rng.next_below(7) - 3, rng.next_below(7) - 3
+        if case % 2:
+            u, v = F(u, 1 + rng.next_below(4)), F(v, 1 + rng.next_below(4))
+        out.append((u, v, strict))
+    return out
+
+
+class TestSegmentInterval:
+    def test_matches_the_fraction_reference(self):
+        rng = SplitMix64(1968)
+        seen = {"empty": 0, "point": 0, "flat": 0, "open_lo_on_weak_root": 0}
+        for case in range(3200):
+            constraints = seeded_constraints(rng, case)
+            found = exactlp.segment_interval(iter(constraints))
+            assert found == reference_interval(constraints), constraints
+            if found is None:
+                seen["empty"] += 1
+            else:
+                assert all(type(end) is F for end in found)
+                seen["point"] += found[0] == found[1]
+            seen["flat"] += any(u == v for u, v, _ in constraints)
+            # a strict rising row, then a weak one through the same root
+            seen["open_lo_on_weak_root"] += any(
+                s_strict and not w_strict and s_v > s_u and w_v > w_u
+                and s_u * (w_u - w_v) == w_u * (s_u - s_v)
+                for (s_u, s_v, s_strict), (w_u, w_v, w_strict)
+                in zip(constraints, constraints[1:])
+            )
+        assert min(seen.values()) >= 100, seen
+
+
 class TestStrictAgainstGridOracle:
     """The slack criterion t* > 0 must agree with exhaustive grid search:
     a strict witness is itself a grid point at its own denominator, and an
