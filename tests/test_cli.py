@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -259,6 +260,26 @@ class TestCommands:
         assert report["qcc"]["checked_triples"] == 84
         assert decided.count(True) == 0
         assert len(sweeps) == 1 and from_qcc == []
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("analyze", {"--grid"}),
+            ("check-qcc", set()),
+            ("check-convexity", set()),
+            ("eliminate", set()),
+            ("relabel", set()),
+            ("discretize", {"--grid-points"}),
+            ("verify-props", {"--instances", "--max-actions", "--max-states", "--magnitude",
+                              "--seed", "--grid"}),
+        ],
+    )
+    def test_subcommand_help_and_options(self, command, options, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--out", *options}
 
     def test_out_flag_writes_file(self, tmp_path):
         path = write_json(tmp_path / "p1.json", P1_DOC)
@@ -613,6 +634,35 @@ class TestPinnedOutput:
         assert _sha256(json.dumps(reports, sort_keys=True)) == (
             "c266d06746ae2663dbb43060bdb08465a7fa9642aff1922e3c46fb91dd1fdfd8"
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["analyze", "--grid", "4"],
+             "6e7402276fa8a5fb9fed0522dc688cf0ec2440cf3edc941639d42f027f1cd489"),
+            (["check-qcc"],
+             "5d195addee22628c918e713f13ff1c0e62b20b2679263c4332cb5f14365c694d"),
+            (["check-convexity"],
+             "865523d9bc7aa778523bd6353473bbfa47f5dc106cc955f8c882602d0503724a"),
+            (["eliminate"],
+             "e70f83893996aa23360af64ce53a2cd68698deac10b0b4f37fc7f61de8604604"),
+            (["relabel"],
+             "8b76d235727c5d7738dd60c25ccfc7a4980f8c530e0c66f08d38c26244f036d2"),
+        ],
+        ids=["analyze", "check-qcc", "check-convexity", "eliminate", "relabel"],
+    )
+    def test_report_key_order_digest(self, argv, digest, tmp_path, capsys):
+        # the reports as written, keys in their own order: json.loads keeps
+        # it, and no sort_keys hides a reordered field
+        command, *options = argv
+        reports = []
+        for index, problem in enumerate(_rational_problems()):
+            path = write_json(tmp_path / f"p{index}.json", problem_to_json(problem))
+            assert main([command, path, *options]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["timing"]
+            reports.append(report)
+        assert _sha256(json.dumps(reports)) == digest
 
     def test_wide_oracle_sections_digest(self):
         # one problem per benchmark `wide` shape: 6-8 states by 4-6 actions,
