@@ -32,7 +32,6 @@ from .exactlp import (
     LinearSystem,
     LPResult,
     LPStatus,
-    planar_feasible,
     solve,
     strict_feasible,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "iterated_elimination",
     "lowest_optimal_action",
     "mixed_dominance_certificate",
-    "planar_feasible",
     "random_problem",
     "relabel_for_lsc",
     "solve",

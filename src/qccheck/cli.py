@@ -20,19 +20,17 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Iterator, Optional, Sequence
 
-from .dominance import (
-    EliminationReport,
-    iterated_elimination,
-    mixed_dominance_certificate,
-)
+from .dominance import EliminationReport, iterated_elimination, mixed_dominance_certificate
 from .errors import InternalInvariantError
 from .geometry import ConvexityVerdict, NestingReport, check_argmax_convexity, check_nesting
-from .lsc import LscVerdict, Relabeling, check_lsc, relabel_for_lsc
+from .lsc import check_lsc, relabel_for_lsc
 from .oracle import GridSpec, SplitMix64, find_grid_dip, find_grid_gap, random_problem
-from .problems import Belief, DecisionProblem, PolynomialProblem, as_fraction
+from .problems import Belief, DecisionProblem, DifferenceVector, PolynomialProblem, as_fraction
 from .qcc import QccVerdict, check_qcc, unimodality_profile
 
 OUT_DIR_ENV = "QCCHECK_OUT_DIR"
@@ -69,7 +67,7 @@ def _rational_json(value: Fraction) -> str:
 def _parse_rational(value: Any, where: str) -> Fraction:
     """Parse one rational, refusing an exponent past the integer digit limit,
     which `Fraction` would take too long to build, and what `str` cannot write."""
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, (bool, float)):
         raise InputFileError(
             f"{where}: expected an integer or a rational string, got {value!r}"
         )
@@ -85,35 +83,38 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     return parsed
 
 
-def _states(doc: dict) -> tuple[str, ...]:
+def _document(doc: Any, kind: str, required: tuple[str, ...]) -> tuple[str, ...]:
+    """Check that a `kind` file is an object with every `required` field,
+    and return its states."""
+    if not isinstance(doc, dict):
+        raise InputFileError(f"{kind} file must be a JSON object")
+    for field in required:
+        if field not in doc:
+            raise InputFileError(f"{kind} file is missing the {field!r} field")
     states = doc["states"]
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise InputFileError("'states' must be a list of strings")
     return tuple(states)
 
 
+def _rational_rows(rows: list, name: str) -> tuple[tuple[Fraction, ...], ...]:
+    """Parse rows of rationals, naming a bad entry `name[i][j]`."""
+    return tuple(
+        tuple(_parse_rational(v, f"{name}[{i}][{j}]") for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+
+
 def problem_from_json(doc: Any) -> DecisionProblem:
-    if not isinstance(doc, dict):
-        raise InputFileError("problem file must be a JSON object")
-    for field in ("states", "actions", "payoff"):
-        if field not in doc:
-            raise InputFileError(f"problem file is missing the {field!r} field")
-    states = _states(doc)
+    states = _document(doc, "problem", ("states", "actions", "payoff"))
     actions = doc["actions"]
     if not isinstance(actions, list):
         raise InputFileError("'actions' must be a list of rationals")
     payoff = doc["payoff"]
     if not isinstance(payoff, list) or not all(isinstance(row, list) for row in payoff):
         raise InputFileError("'payoff' must be a list of rows")
-    parsed_actions = tuple(
-        _parse_rational(a, f"actions[{i}]") for i, a in enumerate(actions)
-    )
-    parsed_payoff = tuple(
-        tuple(
-            _parse_rational(v, f"payoff[{i}][{j}]") for j, v in enumerate(row)
-        )
-        for i, row in enumerate(payoff)
-    )
+    parsed_actions = tuple(_parse_rational(a, f"actions[{i}]") for i, a in enumerate(actions))
+    parsed_payoff = _rational_rows(payoff, "payoff")
     try:
         return DecisionProblem(parsed_actions, states, parsed_payoff)
     except ValueError as exc:
@@ -129,12 +130,7 @@ def problem_to_json(problem: DecisionProblem) -> dict:
 
 
 def polynomial_from_json(doc: Any) -> PolynomialProblem:
-    if not isinstance(doc, dict):
-        raise InputFileError("polynomial file must be a JSON object")
-    for field in ("interval", "states", "coefficients"):
-        if field not in doc:
-            raise InputFileError(f"polynomial file is missing the {field!r} field")
-    states = _states(doc)
+    states = _document(doc, "polynomial", ("interval", "states", "coefficients"))
     interval = doc["interval"]
     if not isinstance(interval, list) or len(interval) != 2:
         raise InputFileError("'interval' must be a [lower, upper] pair")
@@ -145,20 +141,29 @@ def polynomial_from_json(doc: Any) -> PolynomialProblem:
         raise InputFileError("'coefficients' must be a list of coefficient lists")
     lo = _parse_rational(interval[0], "interval[0]")
     hi = _parse_rational(interval[1], "interval[1]")
-    parsed = tuple(
-        tuple(
-            _parse_rational(c, f"coefficients[{j}][{d}]") for d, c in enumerate(poly)
-        )
-        for j, poly in enumerate(coefficients)
-    )
+    parsed = _rational_rows(coefficients, "coefficients")
     try:
         return PolynomialProblem((lo, hi), states, parsed)
     except ValueError as exc:
         raise InputFileError(str(exc)) from exc
 
 
-def _belief_json(belief: Belief) -> list[str]:
-    return [_rational_json(c) for c in belief.coordinates]
+def _json(value: Any) -> Any:
+    """A verdict object as report JSON: a rational as its string, a belief
+    or difference vector as its list, a dataclass as its fields in
+    declaration order (so that order is the report's key order), a tuple or
+    list as a list."""
+    if isinstance(value, Fraction):
+        return _rational_json(value)
+    if isinstance(value, Belief):
+        return _json(value.coordinates)
+    if isinstance(value, DifferenceVector):
+        return _json(value.entries)
+    if is_dataclass(value):
+        return {field.name: _json(getattr(value, field.name)) for field in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
 
 
 def problem_digest(problem: DecisionProblem) -> str:
@@ -174,72 +179,11 @@ def _input_json(problem: DecisionProblem) -> dict:
     return {"digest": problem_digest(problem), "problem": problem_to_json(problem)}
 
 
-def _triple_json(belief: Belief, triple: Sequence[int]) -> dict:
-    return {"belief": _belief_json(belief), "triple": list(triple)}
-
-
-def _qcc_json(verdict: QccVerdict) -> dict:
-    counterexample = None
-    if verdict.counterexample is not None:
-        ce = verdict.counterexample
-        counterexample = {
-            **_triple_json(ce.belief, ce.triple),
-            "values": [_rational_json(v) for v in ce.values],
-        }
-    return {
-        "holds": verdict.holds,
-        "checked_triples": verdict.checked_triples,
-        "counterexample": counterexample,
-    }
-
-
-def _convexity_json(verdict: ConvexityVerdict) -> dict:
-    counterexample = None
-    if verdict.counterexample is not None:
-        ce = verdict.counterexample
-        counterexample = _triple_json(ce.belief, ce.triple)
-    return {"holds": verdict.holds, "counterexample": counterexample}
-
-
-def _nesting_json(report: NestingReport) -> dict:
-    return {
-        "chain_holds": report.chain_holds,
-        "chain_failures": [
-            {"index": f.index, "belief": _belief_json(f.belief)}
-            for f in report.chain_failures
-        ],
-        "region_identification_holds": report.region_identification_holds,
-        "region_failures": [
-            {"index": f.index, "other": f.other, "belief": _belief_json(f.belief)}
-            for f in report.region_failures
-        ],
-    }
-
-
-def _lsc_json(verdict: LscVerdict) -> dict:
-    vector = None
-    if verdict.failing_vector is not None:
-        vector = [_rational_json(v) for v in verdict.failing_vector.entries]
-    return {
-        "holds": verdict.holds,
-        "mode": verdict.mode,
-        "failing_action": verdict.failing_action,
-        "failing_vector": vector,
-    }
-
-
 def _lsc_block(before: DecisionProblem, after: DecisionProblem) -> dict:
     """Both single-crossing modes, before and after the relabeling."""
     return {
-        label: {mode: _lsc_json(check_lsc(problem, mode)) for mode in ("relaxed", "literal")}
+        label: {mode: _json(check_lsc(problem, mode)) for mode in ("relaxed", "literal")}
         for label, problem in (("before", before), ("after_relabel", after))
-    }
-
-
-def _relabeling_json(relabeling: Relabeling) -> dict:
-    return {
-        "permutation": list(relabeling.permutation),
-        "sort_keys": [_rational_json(k) for k in relabeling.sort_keys],
     }
 
 
@@ -255,7 +199,7 @@ def _elimination_json(report: EliminationReport) -> dict:
             for r in report.removed
         ],
         "surviving_problem": problem_to_json(report.surviving),
-        "condition_38_witnesses": [_belief_json(w) for w in report.witnesses],
+        "condition_38_witnesses": _json(report.witnesses),
     }
 
 
@@ -338,32 +282,30 @@ def analyze_problem(problem: DecisionProblem, grid_denominator: int = 0) -> dict
         "command": "analyze",
         "input": _input_json(problem),
         "elimination": _elimination_json(elimination),
-        "qcc": _qcc_json(qcc_verdict),
-        "convexity": _convexity_json(convexity_verdict),
+        "qcc": _json(qcc_verdict),
+        "convexity": _json(convexity_verdict),
         "equivalence_agreement": qcc_verdict.holds == convexity_verdict.holds,
-        "nesting": _nesting_json(nesting),
-        "relabeling": _relabeling_json(relabeling),
+        "nesting": _json(nesting),
+        "relabeling": _json(relabeling),
         "lsc": lsc,
         "oracle": None,
     }
     if grid_denominator > 0:
         with _stage("oracle"):
-            dip, gap = _oracle_cross_check(
-                surviving, qcc_verdict, convexity_verdict, grid_denominator
-            )
+            dip, gap = _oracle_cross_check(surviving, qcc_verdict, convexity_verdict,
+                                           grid_denominator)
         report["oracle"] = {
             "grid_denominator": grid_denominator,
-            "dip": None if dip is None else _triple_json(*dip),
-            "gap": None if gap is None else _triple_json(*gap),
+            "dip": None if dip is None else {"belief": _json(dip[0]), "triple": _json(dip[1])},
+            "gap": None if gap is None else {"belief": _json(gap[0]), "triple": _json(gap[1])},
             "consistent": True,
         }
     report["timing"] = {"seconds": time.perf_counter() - start}
     return report
 
 
-def harness_instances(
-    seed: int, count: int, max_actions: int, max_states: int, magnitude: int
-):
+def harness_instances(seed: int, count: int, max_actions: int, max_states: int,
+                      magnitude: int):
     """The harness's reproducible instance stream: yields
     (index, instance_seed, problem) with sizes drawn uniformly from
     1..max_actions and 1..max_states."""
@@ -372,19 +314,12 @@ def harness_instances(
         n_actions = stream.next_int(1, max_actions)
         n_states = stream.next_int(1, max_states)
         instance_seed = stream.next_uint64()
-        yield index, instance_seed, random_problem(
-            instance_seed, n_actions, n_states, magnitude
-        )
+        yield index, instance_seed, random_problem(instance_seed, n_actions, n_states,
+                                                   magnitude)
 
 
-def run_harness(
-    instances: int,
-    max_actions: int,
-    max_states: int,
-    magnitude: int,
-    seed: int,
-    grid: int,
-) -> dict:
+def run_harness(instances: int, max_actions: int, max_states: int, magnitude: int,
+                seed: int, grid: int) -> dict:
     """Randomized validation harness over reproducible instances.
 
     Per instance: audit the dominance duality on every action, eliminate and
@@ -441,14 +376,8 @@ def run_harness(
     }
     return {
         "command": "verify-props",
-        "config": {
-            "instances": instances,
-            "max_actions": max_actions,
-            "max_states": max_states,
-            "magnitude": magnitude,
-            "seed": seed,
-            "grid": grid,
-        },
+        "config": dict(instances=instances, max_actions=max_actions, max_states=max_states,
+                       magnitude=magnitude, seed=seed, grid=grid),
         "instances": records,
         "summary": summary,
     }
@@ -521,8 +450,8 @@ def _out_path(out: str) -> str:
 
 
 def _check_out(out: Optional[str]) -> None:
-    """Refuse an `--out` whose directory is missing or not writable, before
-    any work."""
+    """Refuse an `--out` that names a directory, or whose directory is
+    missing or not writable, before any work."""
     if out is None:
         return
     path = _out_path(out)
@@ -531,6 +460,8 @@ def _check_out(out: Optional[str]) -> None:
         raise InputFileError(f"cannot write {path}: no directory {directory}")
     if not os.access(directory, os.W_OK):
         raise InputFileError(f"cannot write {path}: directory {directory} is not writable")
+    if os.path.isdir(path):
+        raise InputFileError(f"cannot write {path}: it is a directory")
 
 
 def _write_report(doc: dict, out: Optional[str]) -> None:
@@ -544,80 +475,6 @@ def _write_report(doc: dict, out: Optional[str]) -> None:
             handle.write(text + "\n")
     except OSError as exc:
         raise InputFileError(f"cannot write {out}: {exc}") from exc
-
-
-def _relabel_sections(problem: DecisionProblem) -> dict:
-    relabeling, relabeled = relabel_for_lsc(problem)
-    return {
-        "relabeling": _relabeling_json(relabeling),
-        "relabeled_problem": problem_to_json(relabeled),
-        "lsc": _lsc_block(problem, relabeled),
-    }
-
-
-# Commands that run one stage on one problem file, without elimination:
-# name -> (help, report sections built from the problem).
-_PROBLEM_COMMANDS = {
-    "check-qcc": (
-        "whole-simplex unimodality only",
-        lambda problem: {"qcc": _qcc_json(check_qcc(problem))},
-    ),
-    "check-convexity": (
-        "optimal-action convexity only",
-        lambda problem: {
-            "convexity": _convexity_json(check_argmax_convexity(problem, check_qcc(problem)))
-        },
-    ),
-    "eliminate": (
-        "iterated weak-dominance elimination",
-        lambda problem: {"elimination": _elimination_json(iterated_elimination(problem))},
-    ),
-    "relabel": ("state relabeling and single-crossing checks", _relabel_sections),
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 on usage errors, not 2
-        raise InputFileError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qccheck",
-        description="Exact verification of unimodality, dominance, and "
-        "single-crossing structure in finite decision problems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write the report here instead of stdout")
-
-    p = sub.add_parser("analyze", help="full pipeline on a problem file")
-    p.add_argument("file")
-    p.add_argument("--grid", type=int, default=0, metavar="D",
-                   help="cross-check against the belief grid with denominator D")
-    add_out(p)
-
-    for name, (help_text, _) in _PROBLEM_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file")
-        add_out(p)
-
-    p = sub.add_parser("discretize", help="grid a polynomial problem into a problem file")
-    p.add_argument("polyfile")
-    p.add_argument("--grid-points", type=int, required=True, metavar="M")
-    add_out(p)
-
-    p = sub.add_parser("verify-props", help="randomized theorem-validation harness")
-    p.add_argument("--instances", type=int, required=True, metavar="N")
-    p.add_argument("--max-actions", type=int, default=6, metavar="K")
-    p.add_argument("--max-states", type=int, default=4, metavar="S")
-    p.add_argument("--magnitude", type=int, default=10, metavar="M")
-    p.add_argument("--seed", type=int, default=0, metavar="s")
-    p.add_argument("--grid", type=int, default=0, metavar="D")
-    add_out(p)
-
-    return parser
 
 
 def _check_size(what: str, count: int, unit: str, limit: int) -> None:
@@ -643,53 +500,125 @@ def _check_actions(what: str, actions: int) -> None:
                 _MAX_TRIPLES)
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
-    if args.command == "discretize":
-        poly = polynomial_from_json(_load_json(args.polyfile))
-        if args.grid_points < 2:
-            raise InputFileError("--grid-points must be at least 2")
-        _check_size(f"--grid-points {args.grid_points} over {len(poly.states)} states",
-                    args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
-        return problem_to_json(poly.discretize(args.grid_points))
-    if args.command == "verify-props":
-        _check_grid(args.grid, args.max_states)
-        _check_actions("--max-actions", args.max_actions)
-        return run_harness(
-            instances=args.instances,
-            max_actions=args.max_actions,
-            max_states=args.max_states,
-            magnitude=args.magnitude,
-            seed=args.seed,
-            grid=args.grid,
-        )
-    problem = problem_from_json(_load_json(args.file))
-    if args.command != "relabel":
-        _check_actions(f"{args.file} with", problem.num_actions)
-    if args.command == "analyze":
-        _check_grid(args.grid, problem.num_states)
-        return analyze_problem(problem, args.grid)
+def _read_problem(path: str, budgeted: bool = True) -> DecisionProblem:
+    """Read a problem file; when `budgeted`, refuse one with more than
+    `_MAX_TRIPLES` action triples."""
+    problem = problem_from_json(_load_json(path))
+    if budgeted:
+        _check_actions(f"{path} with", problem.num_actions)
+    return problem
+
+
+# Each command's handler takes the parsed arguments and returns the report.
+
+def _analyze(args: argparse.Namespace) -> dict:
+    problem = _read_problem(args.file)
+    _check_grid(args.grid, problem.num_states)
+    return analyze_problem(problem, args.grid)
+
+
+def _one_stage(command: str, budgeted: bool, sections, args: argparse.Namespace) -> dict:
+    problem = _read_problem(args.file, budgeted)
     start = time.perf_counter()
-    _, sections = _PROBLEM_COMMANDS[args.command]
-    report = {"command": args.command, "input": _input_json(problem), **sections(problem)}
+    report = {"command": command, "input": _input_json(problem), **sections(problem)}
     report["timing"] = {"seconds": time.perf_counter() - start}
     return report
+
+
+def _discretize(args: argparse.Namespace) -> dict:
+    poly = polynomial_from_json(_load_json(args.polyfile))
+    if args.grid_points < 2:
+        raise InputFileError("--grid-points must be at least 2")
+    _check_size(f"--grid-points {args.grid_points} over {len(poly.states)} states",
+                args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
+    return problem_to_json(poly.discretize(args.grid_points))
+
+
+def _verify_props(args: argparse.Namespace) -> dict:
+    _check_grid(args.grid, args.max_states)
+    _check_actions("--max-actions", args.max_actions)
+    return run_harness(instances=args.instances, max_actions=args.max_actions,
+                       max_states=args.max_states, magnitude=args.magnitude,
+                       seed=args.seed, grid=args.grid)
+
+
+def _relabel_sections(problem: DecisionProblem) -> dict:
+    relabeling, relabeled = relabel_for_lsc(problem)
+    return {
+        "relabeling": _json(relabeling),
+        "relabeled_problem": problem_to_json(relabeled),
+        "lsc": _lsc_block(problem, relabeled),
+    }
+
+
+# Commands that run one stage on one problem file, without elimination:
+# name -> (help, whether the triple budget applies, report sections built
+# from the problem).
+_PROBLEM_COMMANDS = {
+    "check-qcc": ("whole-simplex unimodality only", True,
+                  lambda problem: {"qcc": _json(check_qcc(problem))}),
+    "check-convexity": ("optimal-action convexity only", True, lambda problem: {
+        "convexity": _json(check_argmax_convexity(problem, check_qcc(problem)))}),
+    "eliminate": ("iterated weak-dominance elimination", True, lambda problem: {
+        "elimination": _elimination_json(iterated_elimination(problem))}),
+    "relabel": ("state relabeling and single-crossing checks", False, _relabel_sections),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # exit 1 on usage errors, not 2
+        raise InputFileError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="qccheck",
+        description="Exact verification of unimodality, dominance, and "
+        "single-crossing structure in finite decision problems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="full pipeline on a problem file")
+    p.add_argument("file")
+    p.add_argument("--grid", type=int, default=0, metavar="D",
+                   help="cross-check against the belief grid with denominator D")
+    p.set_defaults(handler=_analyze)
+
+    for name, (help_text, budgeted, sections) in _PROBLEM_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.set_defaults(handler=partial(_one_stage, name, budgeted, sections))
+
+    p = sub.add_parser("discretize", help="grid a polynomial problem into a problem file")
+    p.add_argument("polyfile")
+    p.add_argument("--grid-points", type=int, required=True, metavar="M")
+    p.set_defaults(handler=_discretize)
+
+    p = sub.add_parser("verify-props", help="randomized theorem-validation harness")
+    p.add_argument("--instances", type=int, required=True, metavar="N")
+    p.add_argument("--max-actions", type=int, default=6, metavar="K")
+    p.add_argument("--max-states", type=int, default=4, metavar="S")
+    p.add_argument("--magnitude", type=int, default=10, metavar="M")
+    p.add_argument("--seed", type=int, default=0, metavar="s")
+    p.add_argument("--grid", type=int, default=0, metavar="D")
+    p.set_defaults(handler=_verify_props)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the report here instead of stdout")
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_out(args.out)
-        _write_report(_dispatch(args), args.out)
+        _write_report(args.handler(args), args.out)
     except InputFileError as exc:
         print(f"qccheck: input error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:
-        diagnostic = {
-            "error": "internal-invariant-violation",
-            "invariant": exc.invariant,
-            "stage": exc.stage,
-            "details": exc.details,
-        }
+        diagnostic = {"error": "internal-invariant-violation", "invariant": exc.invariant,
+                      "stage": exc.stage, "details": exc.details}
         print(json.dumps(diagnostic, indent=2))
         return 2
     return 0

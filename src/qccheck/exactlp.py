@@ -32,10 +32,10 @@ positive scale factor leaves it unchanged, as its ends are roots
 the point (a_s, b_s) and the beliefs onto the convex hull of these points;
 if the hull meets the open quadrant (or the quadrant with its positive
 a-axis), some vertex or edge of a Caratheodory triangle meets it too.
-`planar_feasible` answers nesting's half-open question a.x > 0, b.x >= 0
-with that witness or, when there is none, a Motzkin certificate (Motzkin
-1936): alpha > 0 and beta >= 0 with alpha a_s + beta b_s <= 0 for every
-state, also re-verified on the points.
+Nesting's half-open question a.x > 0, b.x >= 0 gets that witness or, when
+there is none, `motzkin_certificate`: alpha > 0 and beta >= 0 with
+alpha a_s + beta b_s <= 0 for every state (Motzkin 1936), also re-verified
+on the points.
 """
 
 from __future__ import annotations
@@ -146,9 +146,7 @@ class LPResult:
     system is feasible exactly when t* > 0, and `witness` is present only in
     that case.  When `solve` finds a system infeasible, `farkas` holds the
     row multipliers that certify it (see the module docstring), aligned with
-    the system's rows; from `planar_feasible` it holds the Motzkin
-    (alpha, beta), with alpha > 0, that certifies no belief gives a.x > 0
-    and b.x >= 0.  It is None otherwise.
+    the system's rows.  It is None otherwise.
     """
 
     status: LPStatus
@@ -391,30 +389,6 @@ def strict_feasible(system: LinearSystem) -> LPResult:
     return LPResult(LPStatus.OPTIMAL, value=t_star, witness=witness, slack=t_star)
 
 
-def planar_feasible(points: Sequence[tuple[Rational, Rational]]) -> LPResult:
-    """Decide a.x > 0 and b.x >= 0 over the simplex, in the plane of the
-    points (a_s, b_s), one per state.
-
-    The result carries either the witness of `edge_witness` or a Motzkin
-    certificate (alpha, beta) in `farkas`, with alpha > 0, re-verified by
-    substitution on the points.  See the module docstring.
-    """
-    witness = edge_witness(points, (True, False))
-    if witness is not None:
-        return LPResult(LPStatus.OPTIMAL, witness=witness)
-    farkas = _motzkin_multipliers(points)
-    if farkas is None:
-        raise InternalInvariantError(
-            "lp-planar-alternative", f"neither a witness nor a certificate for {points}"
-        )
-    alpha, beta = farkas
-    if alpha <= 0 or beta < 0 or any(alpha * a + beta * b > 0 for a, b in points):
-        raise InternalInvariantError(
-            "lp-farkas-substitution", f"multipliers {farkas} do not separate {points}"
-        )
-    return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
-
-
 def edge_witness(
     columns: Sequence[Sequence[Rational]], strict: Sequence[bool]
 ) -> Optional[Belief]:
@@ -478,6 +452,28 @@ def segment_interval(
     if gap > 0 or (gap == 0 and not lo_open and not hi_open):
         return Fraction(lo, lo_den), Fraction(hi, hi_den)
     return None
+
+
+def motzkin_certificate(
+    points: Sequence[tuple[Rational, Rational]]
+) -> tuple[Rational, Rational]:
+    """The Motzkin (alpha, beta), alpha > 0, beta >= 0, that certifies no
+    belief gives a.x > 0 and b.x >= 0 over the points (a_s, b_s), one per
+    state, re-verified by substitution on the points.  Asked only after
+    `edge_witness(points, (True, False))` has found no belief, so a missing
+    certificate is an internal error.  See the module docstring.
+    """
+    farkas = _motzkin_multipliers(points)
+    if farkas is None:
+        raise InternalInvariantError(
+            "lp-planar-alternative", f"neither a witness nor a certificate for {points}"
+        )
+    alpha, beta = farkas
+    if alpha <= 0 or beta < 0 or any(alpha * a + beta * b > 0 for a, b in points):
+        raise InternalInvariantError(
+            "lp-farkas-substitution", f"multipliers {farkas} do not separate {points}"
+        )
+    return farkas
 
 
 def _motzkin_multipliers(

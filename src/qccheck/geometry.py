@@ -15,11 +15,11 @@ unimodality verdict of `check_qcc`, which has already decided every dip:
 when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
 below i0 can have one.  An exact LP is solved only for the pairs from i0
 on.  The nesting questions are two-row systems, decided in the plane with
-no LP (`exactlp.planar_feasible`) on points read off the payoffs scaled
-once to integers (`problems.integer_payoff`): a belief comes from
-`exactlp.edge_witness`, and "no belief" rests on a verified Motzkin
-(alpha, beta).  Every reported failure belief is re-verified by
-substitution on the exact payoffs.
+no LP on points read off the payoffs scaled once to integers
+(`problems.integer_payoff`): a belief comes from `exactlp.edge_witness`,
+and "no belief" rests on a verified Motzkin (alpha, beta) from
+`exactlp.motzkin_certificate`.  Every reported failure belief is
+re-verified by substitution on the exact payoffs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, planar_feasible, solve
+from .exactlp import LinearSystem, edge_witness, motzkin_certificate, solve
 from .problems import Belief, DecisionProblem, integer_payoff
 from .qcc import QccVerdict
 
@@ -176,12 +176,14 @@ def _beats_without(
     """A belief where u_p - u_q > 0 for (p, q) = `positive` and
     u_r - u_s <= 0 for (r, s) = `nonpositive`, decided on the integer payoffs
     `scaled` and re-verified by substitution on the exact ones, or None when
-    the simplex has no such belief."""
+    the simplex has no such belief, which a verified Motzkin certificate
+    backs."""
     (p, q), (r, s) = positive, nonpositive
     points = [(up - uq, us - ur)
               for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
-    belief = planar_feasible(points).witness
+    belief = edge_witness(points, (True, False))
     if belief is None:
+        motzkin_certificate(points)
         return None
     value = problem.expected_payoff
     pos, neg = value(p, belief) - value(q, belief), value(r, belief) - value(s, belief)

@@ -54,8 +54,8 @@ class QccCounterexample:
 @dataclass(frozen=True)
 class QccVerdict:
     holds: bool
-    counterexample: Optional[QccCounterexample]
     checked_triples: int
+    counterexample: Optional[QccCounterexample]
 
 
 def unimodality_profile(

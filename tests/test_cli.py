@@ -224,7 +224,7 @@ class TestCommands:
         # convexity reads the unimodality verdict instead of deciding dips
         # again, and the holding verdict comes from the edge sweep alone
         inside, decided, from_qcc, sweeps = [], [], [], []
-        for module, name, calls in ((geometry_module, "planar_feasible", decided),
+        for module, name, calls in ((geometry_module, "edge_witness", decided),
                                     (qcc_module, "edge_witness", from_qcc)):
             search = getattr(module, name)
 
@@ -357,17 +357,20 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "out_dir, out",
-        [(None, "{tmp}/missing/dir/x.json"), ("{tmp}/missing", "x.json")],
-        ids=["absolute", "under-out-dir-env"],
+        "out_dir, out, existing",
+        [(None, "{tmp}/missing/dir/x.json", False), ("{tmp}/missing", "x.json", False),
+         (None, "{tmp}/missing", True)],
+        ids=["absolute", "under-out-dir-env", "existing-directory"],
     )
     def test_unusable_out_is_refused_before_any_work(
-        self, out_dir, out, tmp_path, capsys, monkeypatch
+        self, out_dir, out, existing, tmp_path, capsys, monkeypatch
     ):
         def no_work(**kwargs):
             raise AssertionError("the harness ran before --out was checked")
 
         monkeypatch.setattr(cli_module, "run_harness", no_work)
+        if existing:  # --out names a directory, not a file in one
+            (tmp_path / "missing").mkdir()
         if out_dir is not None:
             monkeypatch.setenv("QCCHECK_OUT_DIR", out_dir.format(tmp=tmp_path))
         argv = ["verify-props", "--instances", "100", "--seed", "1729", "--grid", "20",

@@ -18,7 +18,6 @@ from qccheck import (
     LPStatus,
     SplitMix64,
     grid_beliefs,
-    planar_feasible,
     solve,
     strict_feasible,
 )
@@ -234,12 +233,8 @@ def certifies_motzkin(points, farkas):
 
 
 def _decide(points, strict):
-    """The belief for both rows, a.x > 0 and b.x > 0 (or >= 0): the
-    strict question goes to `edge_witness`, the half-open one to
-    `planar_feasible`."""
-    if strict:
-        return exactlp.edge_witness(points, (True, True))
-    return planar_feasible(points).witness
+    """The belief for both rows, a.x > 0 and b.x > 0 (or >= 0)."""
+    return exactlp.edge_witness(points, (True, strict))
 
 
 class TestPlanarFeasible:
@@ -251,17 +246,9 @@ class TestPlanarFeasible:
         for _ in range(700):
             points = _random_points(rng)
             reference = _reference_system(points, strict)
-            if strict:
-                witness = exactlp.edge_witness(points, (True, True))
-            else:
-                result = planar_feasible(points)
-                witness = result.witness
-                assert result.slack is None
-                if witness is not None:
-                    assert result.farkas is None
-                else:
-                    assert result.status is LPStatus.INFEASIBLE
-                    assert certifies_motzkin(points, result.farkas)
+            witness = _decide(points, strict)
+            if witness is None and not strict:
+                assert certifies_motzkin(points, exactlp.motzkin_certificate(points))
             assert (witness is not None) == strict_feasible(reference).open_feasible
             seen[witness is not None] += 1
             if witness is not None:
@@ -287,12 +274,12 @@ class TestPlanarFeasible:
 
     def test_one_state(self):
         assert exactlp.edge_witness(_points([3], [1]), (True, True)).coordinates == (F(1),)
-        assert planar_feasible(_points([3], [0])).open_feasible
+        assert _decide(_points([3], [0]), False).coordinates == (F(1),)
         assert exactlp.edge_witness(_points([3], [0]), (True, True)) is None
         assert exactlp.edge_witness(_points([0], [5]), (True, True)) is None
         for a, b, farkas in [([3], [-2], (F(2), F(3))), ([0], [0], (F(1), F(0)))]:
-            result = planar_feasible(_points(a, b))
-            assert not result.open_feasible and result.farkas == farkas
+            assert _decide(_points(a, b), False) is None
+            assert exactlp.motzkin_certificate(_points(a, b)) == farkas
 
     @pytest.mark.parametrize("scale", [F(2), F(0), F(-1)])
     @pytest.mark.parametrize("relation", [">", ">="])
@@ -309,13 +296,12 @@ class TestPlanarFeasible:
         # leave lam in (1/3, 2/3), and either end would make a row zero
         witness = exactlp.edge_witness(_points([2, -1], [-1, 2]), (True, True))
         assert witness.coordinates == (F(1, 2), F(1, 2))
-        result = planar_feasible(_points([0, 4, -4], [0, -1, 3]))
-        assert result.witness.coordinates == (F(0), F(5, 8), F(3, 8))
+        witness = _decide(_points([0, 4, -4], [0, -1, 3]), False)
+        assert witness.coordinates == (F(0), F(5, 8), F(3, 8))
 
     def test_feasible_set_of_one_closed_point(self):
         # x1 - x2 > 0 and -x2 >= 0 hold only at the point mass on state 0
-        result = planar_feasible(_points([1, 1], [0, -1]))
-        assert result.witness.coordinates == (F(1), F(0))
+        assert _decide(_points([1, 1], [0, -1]), False).coordinates == (F(1), F(0))
         # a segment whose two weak constraints leave the single lam = 1/2
         constraints = ((F(1), F(-1), False), (F(-1), F(1), False))
         assert exactlp.segment_interval(constraints) == (F(1, 2), F(1, 2))
@@ -330,10 +316,10 @@ class TestPlanarFeasible:
         # every b_s < 0, so (0, 1) would separate; the half-open system
         # still gets alpha > 0, from the line through (2, -1)
         points = _points([2, -1], [-1, -3])
-        assert planar_feasible(points).farkas == (F(1), F(2))
+        assert exactlp.motzkin_certificate(points) == (F(1), F(2))
         monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: (0, 1))
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            planar_feasible(points)
+            exactlp.motzkin_certificate(points)
 
     def test_corrupted_witness_raises(self, monkeypatch):
         # lam = 2/3 gives (1/3, 2/3), on the feasible segment's closure but
@@ -349,12 +335,12 @@ class TestPlanarFeasible:
         # infeasible: the only state with a > 0 has b < 0
         monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: bad)
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            planar_feasible(_points([1, -1], [-1, 0]))
+            exactlp.motzkin_certificate(_points([1, -1], [-1, 0]))
 
     def test_missing_alternative_raises(self, monkeypatch):
         monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: None)
         with pytest.raises(InternalInvariantError, match="lp-planar-alternative"):
-            planar_feasible(_points([1, -1], [-1, 0]))
+            exactlp.motzkin_certificate(_points([1, -1], [-1, 0]))
 
 
 def reference_interval(constraints):

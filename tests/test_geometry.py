@@ -166,10 +166,10 @@ class TestArgmaxConvexity:
         qcc = check_qcc(problem)
         calls = _counted_solves(monkeypatch)
 
-        def no_planar(points):
+        def no_planar(*args):
             raise AssertionError("convexity decided a two-row system")
 
-        monkeypatch.setattr(geometry, "planar_feasible", no_planar)
+        monkeypatch.setattr(geometry, "edge_witness", no_planar)
         verdict = check_argmax_convexity(problem, qcc)
         if qcc.holds:
             assert verdict.holds and calls == []
