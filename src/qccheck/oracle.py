@@ -2,11 +2,17 @@
 
 Three oracles back-stop the exact feasibility checks:
 
-* exhaustive enumeration of all beliefs with a fixed common denominator,
-  which can confirm any failure the solver reports (and refute none of its
-  successes, since the grid is finite).  One walk moves the integer payoff
-  profile by O(m) per belief.  A gap is a dip, so gaps are worth seeking
-  only on a grid that dips, and only where the maximum is tied;
+* exhaustive search of all beliefs with a fixed common denominator, which
+  can confirm any failure the solver reports (and refute none of its
+  successes, since the grid is finite).  The dip walk reads every belief in
+  lexicographic order and moves the integer payoff profile by O(m) per
+  belief.  A gap is a dip, so gaps are worth seeking only on a grid that
+  dips, and a gap needs two optimal actions i < k with k >= i + 2, so it
+  lies on the tie hyperplane (u_i - u_k).x = 0 of such a pair.  The gap
+  search therefore reads the profile only at those ties: it fixes all but
+  the last three coordinates depth first, keeps the pairs whose difference
+  can vanish on each block, and lists each pair's integer ties on the last
+  three coordinates in closed form;
 * a complete breakpoint oracle for two-state problems, where expected
   payoffs are affine in a single coordinate and the weak order of the
   actions is constant between consecutive pairwise indifference points, so
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
-from operator import add
+from operator import add, mul
 from typing import Iterator, Optional
 
 from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
@@ -133,16 +139,143 @@ def find_grid_dip(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
     return None
 
 
+def _tie_solver(alpha: int, beta: int) -> tuple[int, int, int, int, int, bool]:
+    """What `_block_ties` needs of the line c0 + a*alpha + b*beta = 0 apart
+    from c0, as (sign, g, step, coef, inverse, swap).  One of a, b is free
+    (u) and the other follows from it (w): b follows a unless beta = 0,
+    which `swap`s them.  Times sign/g the line reads c + coef*u + step*w = 0
+    with step > 0, so u runs through one residue class modulo step, found
+    with coef's `inverse` modulo step, and w falls by coef as u rises by
+    step.  g = 0 when alpha = beta = 0: the line is all of a block or none."""
+    swap = not beta
+    if swap:
+        alpha, beta = beta, alpha
+    sign = -1 if beta < 0 else 1
+    g = math.gcd(alpha, beta)
+    if not g:
+        return 1, 0, 1, 0, 0, swap
+    step, coef = abs(beta) // g, sign * alpha // g
+    return sign, g, step, coef, pow(coef, -1, step), swap
+
+
+def _block_ties(
+    c0: int, solver: tuple[int, int, int, int, int, bool], rest: int, tops: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The integer points (a, b) of c0 + a*alpha + b*beta = 0 with a, b >= 0,
+    a + b <= rest, a <= tops[0] and b <= tops[1], in O(1 + #points)."""
+    sign, g, step, coef, inverse, swap = solver
+    u_top, w_top = tops[::-1] if swap else tops
+    if not g:
+        if c0:
+            return []
+        return [(a, b) for a in range(tops[0] + 1) for b in range(min(tops[1], rest - a) + 1)]
+    c0 *= sign
+    if c0 % g:
+        return []
+    c0 //= g
+    u0 = -c0 * inverse % step
+    w0 = -(c0 + u0 * coef) // step
+    # t >= 0 keeps u >= 0; each (k, r) below is the constraint k*t <= r:
+    # w >= 0, w <= w_top and u + w <= rest
+    lo, hi = 0, (u_top - u0) // step
+    for k, r in ((coef, w0), (-coef, w_top - w0), (step - coef, rest - u0 - w0)):
+        if k > 0:
+            hi = min(hi, r // k)
+        elif k < 0:
+            lo = max(lo, -(r // -k))
+        elif r < 0:
+            return []
+    points = [(u0 + step * t, w0 - coef * t) for t in range(lo, hi + 1)]
+    return [(a, b) for b, a in points] if swap else points
+
+
+def _suffix_extremes(columns: list, pick) -> list[list[int]]:
+    """For each state t, the element-wise `pick` (min or max) of
+    columns[t:], built from the last column back in one pass."""
+    tables = [list(columns[-1])]
+    for column in reversed(columns[:-1]):
+        tables.append(list(map(pick, column, tables[-1])))
+    return tables[::-1]
+
+
 def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFinding]:
     """First grid belief whose optimal-action set is non-contiguous, with the
-    lexicographically first (optimal, skipped, optimal) triple.  The same
-    walk as `find_grid_dip`: a gap needs two optimal actions, so the argmax
-    is read only where the maximum is tied."""
-    for numerators, values in _grid_walk(problem, spec):
-        if values.count(max(values)) > 1:
-            triple = _first_gap_triple(values)
+    lexicographically first (optimal, skipped, optimal) triple, in the order
+    of `grid_beliefs`: the same finding as reading every belief's profile.
+
+    A gap needs optimal actions i < k with k >= i + 2, so it lies on the tie
+    hyperplane d.x = 0, d = u_i - u_k, of such a pair, and the profile is
+    read only at those ties.  The numerators x are searched depth first
+    over their first n - 3 parts, in lexicographic order, with an explicit
+    stack.  A block that fixes those parts and leaves `rest` units keeps
+    the pairs of its parent block whose d takes 0 on it: d's range there is
+    exactly d.prefix + rest*[min, max] of d over the states left.  On the
+    last three parts (a, b, rest - a - b) a pair ties on the integer points
+    of one line, listed in O(1 + #points) by `_block_ties`.  A block with
+    more live pairs than actions first drops each pair with an action that
+    stays below, on all of the block, the action whose least payoff there is
+    the highest: such a pair never ties at the maximum there.  Fewer than
+    three states pad the front with parts held at 0."""
+    if spec.dimension != problem.num_states:
+        raise ValueError("grid dimension does not match the state count")
+    rows = integer_payoff(problem)
+    m = len(rows)
+    pairs = [(i, k) for i, k in combinations(range(m), 2) if k > i + 1]
+    if not pairs:
+        return None
+    diffs = [[a - b for a, b in zip(rows[i], rows[k])] for i, k in pairs]
+    pad = max(3 - spec.dimension, 0)
+    depth = spec.dimension + pad - 3
+    # Over states t..n-1: the min and max of each pair's d (lows[t],
+    # highs[t]), each action's least payoff (floors[t]), and by how much at
+    # most action i beats action j (above[t][j*m + i]).
+    columns, payoffs = list(zip(*diffs)), list(zip(*rows))
+    lows, highs = _suffix_extremes(columns, min), _suffix_extremes(columns, max)
+    floors = _suffix_extremes(payoffs, min)
+    above = _suffix_extremes([[u - w for w in us for u in us] for us in payoffs], max)
+    columns = [(0,) * len(pairs)] * pad + columns
+    solvers = [_tie_solver(x - z, y - z) for x, y, z in zip(*columns[-3:])]
+    last = columns[-1]
+    corner = [((0,) * pad + tuple(row))[-3:] for row in rows]
+    live = [(p, 0) for p in range(len(pairs)) if lows[0][p] <= 0 <= highs[0][p]]
+    stack = [((), spec.denominator, live, 0)]
+    while stack:
+        prefix, rest, live, v = stack.pop()
+        t = len(prefix)
+        head = None
+        if not v and len(live) > m:
+            # drop each pair with an action that stays below the block's
+            # best floor: O(m*t) here saves O(#pairs) work under the block
+            head = [sum(map(mul, prefix, row)) for row in rows]
+            floor = [h + rest * f for h, f in zip(head, floors[t])]
+            best = floor.index(max(floor))
+            beats = above[t][best * m:best * m + m]
+            ok = [h - head[best] + rest * a >= 0 for h, a in zip(head, beats)]
+            live = [(p, c) for p, c in live if ok[pairs[p][0]] and ok[pairs[p][1]]]
+        if t < depth and rest:
+            # the block's children x[t] = 0, 1, ..., rest, one per pop
+            if v < rest:
+                stack.append((prefix, rest, live, v + 1))
+            column, lo, hi, left = columns[t], lows[t + 1], highs[t + 1], rest - v
+            kept = [(p, c) for p, base in live for c in (base + v * column[p],)
+                    if c + left * lo[p] <= 0 <= c + left * hi[p]]
+            if kept:
+                stack.append((prefix + (v,), left, kept, 0))
+            continue
+        # a leaf: the numerators prefix, 0, ..., 0, a, b, rest - a - b
+        points = set()
+        bounds = (rest if pad < 1 else 0, rest if pad < 2 else 0)
+        for p, c in live:
+            points.update(_block_ties(c + rest * last[p], solvers[p], rest, bounds))
+        if points and head is None:
+            head = [sum(map(mul, prefix, row)) for row in rows]
+        for a, b in sorted(points):
+            c = rest - a - b
+            triple = _first_gap_triple(
+                [h + a * x + b * y + c * z for h, (x, y, z) in zip(head, corner)])
             if triple is not None:
-                return spec.belief(numerators), triple
+                numerators = prefix + (0,) * (depth - t) + (a, b, c)
+                return spec.belief(list(numerators[pad:])), triple
     return None
 
 

@@ -3,7 +3,7 @@ generator."""
 
 import math
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -19,10 +19,11 @@ from qccheck import (
     find_grid_gap,
     grid_beliefs,
     is_contiguous,
+    iterated_elimination,
     random_problem,
     unimodality_profile,
 )
-from qccheck.oracle import _grid_walk
+from qccheck.oracle import _block_ties, _first_gap_triple, _grid_walk, _tie_solver
 from qccheck.problems import integer_payoff
 
 
@@ -102,6 +103,10 @@ class TestGridGap:
         problem = DecisionProblem.from_matrix([[1, 0], [0, 1]])
         assert find_grid_gap(problem, GridSpec(30, 2)) is None
 
+    def test_dimension_mismatch(self, p1):
+        with pytest.raises(ValueError):
+            find_grid_gap(p1, GridSpec(5, 3))
+
     def test_gap_triples_reverify(self):
         for seed in range(15):
             problem = random_problem(seed=3200 + seed, actions=4, states=2, magnitude=6)
@@ -177,6 +182,109 @@ class TestGridWalk:
         # the comparison must not pass on problems with nothing to find
         assert sum(dip is not None for dip, _ in findings) >= 140
         assert sum(gap is not None for _, gap in findings) >= 110
+
+
+def _walked_gap(problem, spec):
+    """The first gap as the walk finds it: the whole profile at every grid
+    belief, in order, read by `_first_gap_triple`."""
+    for numerators, values in _grid_walk(problem, spec):
+        triple = _first_gap_triple(values)
+        if triple is not None:
+            return spec.belief(numerators), triple
+    return None
+
+
+def _assert_search_matches_walk(cases):
+    findings = [find_grid_gap(problem, spec) for problem, spec in cases]
+    assert findings == [_walked_gap(problem, spec) for problem, spec in cases]
+    return findings
+
+
+class TestGapSearch:
+    """The tie search against the walk it replaced, gap for gap."""
+
+    def test_wide_shapes(self):
+        cases = [
+            (random_problem(9300 + 10 * seed + actions, actions, states, 1000),
+             GridSpec(12, states))
+            for states in (6, 7, 8) for actions in (4, 5, 6) for seed in range(3)
+        ]
+        findings = _assert_search_matches_walk(cases)
+        assert 0 < sum(found is not None for found in findings) < len(cases)
+
+    def test_many_action_survivors(self):
+        cases = []
+        for seed, actions, states in ((501, 40, 5), (500, 24, 6), (500, 24, 7), (501, 24, 8)):
+            surviving = iterated_elimination(random_problem(seed, actions, states, 1000)).surviving
+            assert 15 <= surviving.num_actions <= 22
+            cases.append((surviving, GridSpec(10, states)))
+        findings = _assert_search_matches_walk(cases)
+        assert 0 < sum(found is not None for found in findings) < len(cases)
+
+    def test_rational_payoffs(self):
+        rng = SplitMix64(77)
+        cases = []
+        for case in range(40):
+            states, actions = 3 + case % 4, 3 + case // 4 % 5
+            problem = random_problem(rng.next_uint64(), actions, states, 4)
+            problem = DecisionProblem.from_matrix([
+                [v / (1 + rng.next_below(6)) for v in row] for row in problem.payoff
+            ])
+            cases.append((problem, GridSpec(5 + case % 4, states)))
+        findings = _assert_search_matches_walk(cases)
+        assert 0 < sum(found is not None for found in findings) < len(cases)
+
+    def test_one_and_two_states(self):
+        cases = [
+            (random_problem(9400 + seed, 3 + seed % 5, 1 + seed % 2, 1 + seed % 3),
+             GridSpec(1 + seed % 13, 1 + seed % 2))
+            for seed in range(60)
+        ]
+        findings = _assert_search_matches_walk(cases)
+        assert sum(found is not None for found in findings) >= 10
+
+    def test_identical_rows_tie_on_every_belief(self):
+        # rows 0 and 2 tie everywhere; row 1 is optimal only where its
+        # middle payoffs beat them, so gaps cover all the rest of the grid
+        cases = []
+        for states in (2, 3, 5):
+            row = [3 * (s % 2) for s in range(states)]
+            middle = [4 * (s == 0) for s in range(states)]
+            cases.append((DecisionProblem.from_matrix([row, middle, row]), GridSpec(6, states)))
+            cases.append((DecisionProblem.from_matrix([row, [9] * states, row]), GridSpec(6, states)))
+        findings = _assert_search_matches_walk(cases)
+        assert [found is None for found in findings] == [False, True] * 3
+
+    def test_difference_constant_on_the_last_three_states(self):
+        # d = u_0 - u_2 is constant on the last three states, so the tie
+        # line of a block is all of it or nothing
+        cases = []
+        for c in (0, 1, -2):
+            for states in (3, 4, 6):
+                head = [(-1) ** s * (s + 1) for s in range(states - 3)]
+                u2 = [s % 3 - 1 for s in range(states)]
+                u0 = [a + b for a, b in zip(head + [c] * 3, u2)]
+                u1 = [min(a, b) - 1 for a, b in zip(u0, u2)]
+                cases.append((DecisionProblem.from_matrix([u0, u1, u2]), GridSpec(7, states)))
+        findings = _assert_search_matches_walk(cases)
+        assert 0 < sum(found is not None for found in findings) < len(cases)
+
+    def test_block_ties_list_every_lattice_point_on_the_line(self):
+        for alpha, beta in product(range(-5, 6), repeat=2):
+            solver = _tie_solver(alpha, beta)
+            for rest in range(6):
+                for tops in ((rest, rest), (0, rest), (rest, 0), (0, 0)):
+                    for c0 in range(-15, 16):
+                        listed = _block_ties(c0, solver, rest, tops)
+                        assert sorted(listed) == [
+                            (a, b) for a in range(tops[0] + 1) for b in range(tops[1] + 1)
+                            if a + b <= rest and c0 + a * alpha + b * beta == 0
+                        ]
+
+    def test_deep_grids_need_no_recursion(self):
+        cases = [(random_problem(7, 3, 2000, 1000), GridSpec(1, 2000)),
+                 (random_problem(7, 3, 1200, 1000), GridSpec(2, 1200))]
+        assert [found is None for found in _assert_search_matches_walk(cases)] == [True, False]
 
 
 class TestOneSidedSoundness:
