@@ -13,11 +13,13 @@ A gap at a belief is a strict dip there: if i and k are optimal and j is
 not, then u_i - u_j > 0 and u_k - u_j > 0.  So convexity reads the
 unimodality verdict of `check_qcc`, which has already decided every dip:
 when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
-below i0 can have one.  An exact LP is solved only for the pairs from i0
-on.  The nesting questions are two-row systems, decided in the plane with
-no LP on points read off the payoffs scaled once to integers
+below i0 can have one.  Each pair from i0 on is searched for a gap on the
+point masses and edges of the simplex first (`exactlp.edge_witness`), and
+an exact LP is solved only for a pair where no point mass or edge has one.
+The nesting questions are two-row systems, decided in the plane with no LP.
+The edge search and nesting read the payoffs scaled once to integers
 (`problems.integer_payoff`): a belief comes from `exactlp.edge_witness`,
-and "no belief" rests on a verified Motzkin (alpha, beta) from
+and in nesting "no belief" rests on a verified Motzkin (alpha, beta) from
 `exactlp.motzkin_certificate`.  Every reported failure belief is
 re-verified by substitution on the exact payoffs.
 """
@@ -96,30 +98,42 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
     `qcc` must be `check_qcc`'s verdict for the same problem.  A gap is a
     dip, so a holding verdict means convexity holds, and a verdict failing
     at (i0, j0, k0) means no pair i < i0 has a gap: `check_qcc` found every
-    triple below i0 infeasible.  Each pair i < k with i >= i0 gets one LP:
+    triple below i0 infeasible.  Each pair i < k with i >= i0 has an LP:
     on the face where i and k are both optimal (one equality plus global
     weak comparisons), maximize the sum of the gaps u_i - u_j over the
     actions j strictly between.  Every gap is nonnegative there, so the
-    optimum is positive exactly when some belief skips a middle action.  The
-    first such pair in lexicographic order is reported, with j the lowest
-    action between i and k that is not optimal at the maximizer.
+    optimum is positive exactly when some belief skips a middle action.
+    Before the LP, `edge_witness` looks for a point mass or edge belief
+    that meets the LP's rows with its objective as the one strict row;
+    such a belief is a gap, so the LP runs only when no point mass or edge
+    has one.  The first pair with a gap in lexicographic order is reported,
+    with j the lowest action between i and k that is not optimal at the
+    belief found.
     """
     if qcc.holds:
         return ConvexityVerdict(holds=True, counterexample=None)
     assert qcc.counterexample is not None
     m = problem.num_actions
+    scaled = integer_payoff(problem)
     for i in range(qcc.counterexample.triple[0], m - 2):
-        optimal_rows = [(indifference_hyperplane(problem, i, other), ">=", 0)
-                        for other in range(m) if other != i]
+        gaps = [[a - b for a, b in zip(scaled[i], row)] for row in scaled]
         for k in range(i + 2, m):
-            middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
-            rows = [(indifference_hyperplane(problem, i, k), "==", 0)] + optimal_rows
-            objective = [sum(column) for column in zip(*middle)]
-            result = solve(LinearSystem.build(problem.num_states, rows, objective))
-            if not result.is_optimal or result.value <= 0:
-                continue
-            belief = result.witness
-            assert belief is not None
+            # the pair's LP rows, its objective as the one strict row
+            rows = [gaps[k], [-d for d in gaps[k]]]
+            rows += [gaps[other] for other in range(m) if other not in (i, k)]
+            rows.append([sum(column) for column in zip(*gaps[i + 1:k])])
+            belief = edge_witness(list(zip(*rows)), (False,) * (len(rows) - 1) + (True,))
+            if belief is None:
+                lp_rows = [(indifference_hyperplane(problem, i, k), "==", 0)]
+                lp_rows += [(indifference_hyperplane(problem, i, other), ">=", 0)
+                            for other in range(m) if other != i]
+                middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
+                objective = [sum(column) for column in zip(*middle)]
+                result = solve(LinearSystem.build(problem.num_states, lp_rows, objective))
+                if not result.is_optimal or result.value <= 0:
+                    continue
+                belief = result.witness
+                assert belief is not None
             optimal = problem.argmax_set(belief)
             skipped = [j for j in range(i + 1, k) if j not in optimal]
             if i not in optimal or k not in optimal or not skipped:

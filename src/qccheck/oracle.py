@@ -65,22 +65,25 @@ def _successors(total: int, parts: int) -> Iterator[tuple[list[int], int, int]]:
     order, as one list changed in place (Knuth, TAOCP 4A, 7.2.1.3), with the
     step (q, r) that reached it: one unit moves from x[q] to x[q-1] and r
     from x[q] to the last part.  q is the last nonzero part of the x before;
-    r = 0 when that is the last part, else all x[q] - 1 units left there."""
+    r = 0 when that is the last part, else all x[q] - 1 units left there.
+    `nonzero` is the last nonzero part before the last one, or 0 when there
+    is none: each step leaves it one below the part it moved from."""
     last = parts - 1
     x = [0] * last + [total]
+    nonzero = 0
     yield x, 0, 0
     while last:
         if x[last]:
             x[last - 1], x[last] = x[last - 1] + 1, x[last] - 1
+            nonzero = last - 1
             yield x, last, 0
             continue
-        q = last - 1
-        while q and not x[q]:
-            q -= 1
+        q = nonzero
         if not q:
             return
         r = x[q] - 1
         x[q - 1], x[q], x[last] = x[q - 1] + 1, 0, r
+        nonzero = q - 1
         yield x, q, r
 
 

@@ -167,11 +167,12 @@ class DecisionProblem:
             )
 
     def expected_payoff(self, action_index: int, belief: Belief) -> Fraction:
-        """Exact expected payoff of one action under a belief."""
+        """Exact expected payoff of one action under a belief; states the
+        belief rules out are skipped, as in `payoff_profile`."""
         self._check_action(action_index)
         self._check_belief(belief)
         row = self.payoff[action_index]
-        return sum((p * u for p, u in zip(belief.coordinates, row)), Fraction(0))
+        return sum((p * u for p, u in zip(belief.coordinates, row) if p), Fraction(0))
 
     def payoff_profile(self, belief: Belief) -> tuple[Fraction, ...]:
         """Expected payoffs of every action under a belief, in action order;

@@ -83,6 +83,51 @@ LATE_DIP_PROBLEMS = [
 ]
 
 
+def _rational(seed, actions, states):
+    raw = random_problem(seed, actions, states, 1000)
+    return DecisionProblem.from_matrix(
+        [[v / 7 + F(j, 3) for j, v in enumerate(row)] for row in raw.payoff]
+    )
+
+
+# each set has pairs whose edge search misses, and reported gaps that only
+# the pair LP finds
+ROUTE_PROBLEMS = {
+    # the benchmark's `wide` shapes: 6-8 states, 4-6 actions, payoffs to 1000
+    "wide": [random_problem(7000 + n, 4 + n % 3, 6 + n // 3 % 3, 1000) for n in range(18)],
+    # the acceptance corpus shapes: 1-6 actions, 1-4 states, payoffs to 10
+    "corpus": [random_problem(7100 + n, 1 + n % 6, 1 + n // 6 % 4, 10) for n in range(48)] + [
+        # 0, 1 and 2 tie everywhere, so the pair (0, 2) has a tie face with
+        # no gap; the gap is at (0, 4), where 3 is skipped at p0 = 2/3
+        DecisionProblem.from_matrix([[0, 0], [0, 0], [0, 0], [-1, -1], [1, -2]]),
+    ],
+    "rational": [_rational(7200 + n, 4 + n % 3, 3 + n % 6) for n in range(30)],
+}
+
+
+def _routed(problem, monkeypatch, search=True):
+    """The convexity verdict with each edge search ("hit" or "miss") and
+    each pair LP ("lp") in the order they ran; with `search` off every
+    search misses and every pair gets its LP."""
+    qcc = check_qcc(problem)
+    events = []
+    edge_witness, solve = geometry.edge_witness, geometry.solve
+
+    def searched(*args):
+        belief = edge_witness(*args) if search else None
+        events.append("miss" if belief is None else "hit")
+        return belief
+
+    def solved(system):
+        events.append("lp")
+        return solve(system)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "edge_witness", searched)
+        patch.setattr(geometry, "solve", solved)
+        return check_argmax_convexity(problem, qcc), events
+
+
 class TestIndifferenceHyperplane:
     def test_fixture_rows(self, p1):
         assert indifference_hyperplane(p1, 0, 1) == (F(1), F(-3))
@@ -159,17 +204,14 @@ class TestArgmaxConvexity:
 
     @pytest.mark.parametrize("problem", CONVEXITY_PROBLEMS + LATE_DIP_PROBLEMS)
     def test_one_lp_per_pair_with_a_feasible_dip(self, problem, monkeypatch):
-        # check_qcc found no dip (i, j, k) with i below its first one, so the
-        # pairs below it are skipped; every later pair may have a feasible
-        # dip and gets one LP, up to the reported pair.  A holding verdict
-        # leaves no pair, and no dip is decided again either way.
+        # with the edge search off: check_qcc found no dip (i, j, k) with i
+        # below its first one, so the pairs below it are skipped; every
+        # later pair may have a feasible dip and gets one LP, up to the
+        # reported pair.  A holding verdict leaves no pair, and no dip is
+        # decided again either way.
         qcc = check_qcc(problem)
         calls = _counted_solves(monkeypatch)
-
-        def no_planar(*args):
-            raise AssertionError("convexity decided a two-row system")
-
-        monkeypatch.setattr(geometry, "edge_witness", no_planar)
+        monkeypatch.setattr(geometry, "edge_witness", lambda *args: None)
         verdict = check_argmax_convexity(problem, qcc)
         if qcc.holds:
             assert verdict.holds and calls == []
@@ -181,6 +223,44 @@ class TestArgmaxConvexity:
             i, _, k = verdict.counterexample.triple
             pairs = pairs[: pairs.index((i, k)) + 1]
         assert len(calls) == len(pairs)
+
+
+class TestEdgeSearch:
+    """The edge search before each pair LP against the LP route: a belief
+    found on a point mass or an edge satisfies the pair LP's rows with a
+    positive objective, so it settles the pair the LP would have."""
+
+    @pytest.mark.parametrize("shape", sorted(ROUTE_PROBLEMS))
+    def test_same_verdict_and_pair_as_the_lp_route(self, shape, monkeypatch):
+        misses = lp_found = 0
+        for problem in ROUTE_PROBLEMS[shape]:
+            verdict, events = _routed(problem, monkeypatch)
+            reference, _ = _routed(problem, monkeypatch, search=False)
+            assert verdict.holds == reference.holds
+            misses += events.count("miss")
+            if verdict.holds:
+                continue
+            i, j, k = verdict.counterexample.triple
+            assert (i, k) == (reference.counterexample.triple[0],
+                              reference.counterexample.triple[2])
+            optimal = problem.argmax_set(verdict.counterexample.belief)
+            assert i in optimal and k in optimal and j not in optimal
+            assert all(between in optimal for between in range(i + 1, j))
+            lp_found += events[-1] == "lp"
+        assert misses > 0 and lp_found > 0
+
+    @pytest.mark.parametrize("shape", sorted(ROUTE_PROBLEMS))
+    def test_an_lp_only_where_the_search_misses(self, shape, monkeypatch):
+        # every pair is searched first; a miss gets the pair's LP and a hit
+        # settles the pair with none, so there are at most as many LPs as
+        # on the LP route
+        for problem in ROUTE_PROBLEMS[shape]:
+            _, events = _routed(problem, monkeypatch)
+            _, reference = _routed(problem, monkeypatch, search=False)
+            settled = events[-1:] == ["hit"]
+            assert events == ["miss", "lp"] * events.count("miss") + ["hit"] * settled
+            assert events.count("lp") <= reference.count("lp")
+            assert reference == ["miss", "lp"] * (events.count("miss") + settled)
 
 
 class TestNesting:

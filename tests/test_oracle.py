@@ -3,7 +3,7 @@ generator."""
 
 import math
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -23,7 +23,13 @@ from qccheck import (
     random_problem,
     unimodality_profile,
 )
-from qccheck.oracle import _block_ties, _first_gap_triple, _grid_walk, _tie_solver
+from qccheck.oracle import (
+    _block_ties,
+    _first_gap_triple,
+    _grid_walk,
+    _successors,
+    _tie_solver,
+)
 from qccheck.problems import integer_payoff
 
 
@@ -49,6 +55,34 @@ class TestGridBeliefs:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             GridSpec(0, 2)
+
+    def test_successors_match_the_scanning_reference(self):
+        # keeping the last nonzero part gives the compositions and the steps
+        # (q, r) that scanning back for it gives
+        def reference(total, parts):
+            last = parts - 1
+            x = [0] * last + [total]
+            yield tuple(x), 0, 0
+            while last:
+                if x[last]:
+                    x[last - 1], x[last] = x[last - 1] + 1, x[last] - 1
+                    yield tuple(x), last, 0
+                    continue
+                q = last - 1
+                while q and not x[q]:
+                    q -= 1
+                if not q:
+                    return
+                r = x[q] - 1
+                x[q - 1], x[q], x[last] = x[q - 1] + 1, 0, r
+                yield tuple(x), q, r
+
+        for parts in range(1, 7):
+            for total in range(7):
+                expected = list(reference(total, parts))
+                # one step past the end, so a walk that never ends fails
+                steps = islice(_successors(total, parts), len(expected) + 1)
+                assert [(tuple(x), q, r) for x, q, r in steps] == expected
 
 
 class TestGridDip:

@@ -60,6 +60,23 @@ class TestDecisionProblem:
                 belief = Belief.point_mass(j, p1.num_states)
                 assert p1.expected_payoff(i, belief) == p1.payoff[i][j]
 
+    def test_expected_payoff_matches_the_full_sum(self):
+        # skipping the states a belief rules out leaves every value as the
+        # sum over all states, on point masses, edges and interior beliefs
+        problem = DecisionProblem.from_matrix(
+            [[F(3 * i - 2 * j, 7) + i * j for j in range(4)] for i in range(5)]
+        )
+        beliefs = [Belief.point_mass(s, 4) for s in range(4)]
+        beliefs += [Belief(tuple(F(2, 5) if c == s else F(3, 5) if c == t else F(0)
+                                 for c in range(4)))
+                    for s in range(4) for t in range(4) if s != t]
+        beliefs += [Belief.uniform(4), Belief((F(1, 10), F(2, 10), F(3, 10), F(4, 10)))]
+        for belief in beliefs:
+            for i, row in enumerate(problem.payoff):
+                full = sum(p * u for p, u in zip(belief.coordinates, row))
+                assert problem.expected_payoff(i, belief) == full
+                assert problem.payoff_profile(belief)[i] == full
+
     def test_constant_row_is_constant(self, p1):
         for belief in (Belief((F(1), F(0))), Belief((F(2, 7), F(5, 7)))):
             assert p1.expected_payoff(1, belief) == -1
