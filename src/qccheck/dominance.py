@@ -297,9 +297,11 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
 
     witnesses = []
     for position, original in enumerate(active):
-        # A lone survivor the scan never reached is the only action, so it
-        # is uniquely optimal everywhere; the uniform belief is interior.
-        witness = found.get(original, Belief.uniform(problem.num_states))
+        witness = found.get(original)
+        if witness is None:
+            # A lone survivor the scan never reached is the only action, so
+            # it is uniquely optimal everywhere; the uniform belief is interior.
+            witness = Belief.uniform(problem.num_states)
         if not witness.is_interior or not _uniquely_best(rows, position, witness):
             raise InternalInvariantError(
                 "post-elimination-certification",

@@ -11,8 +11,10 @@ Three oracles back-stop the exact feasibility checks:
   lies on the tie hyperplane (u_i - u_k).x = 0 of such a pair.  The gap
   search therefore reads the profile only at those ties: it fixes all but
   the last three coordinates depth first, keeps the pairs whose difference
-  can vanish on each block, and lists each pair's integer ties on the last
-  three coordinates in closed form;
+  can vanish on each block, and reads the leaves at their parent.  On a
+  leaf each pair's ties lie on one line in the last three coordinates; one
+  residue modulo the line's gcd and step rejects nearly every line with no
+  integer point in the leaf, and the rest are listed in closed form;
 * a complete breakpoint oracle for two-state problems, where expected
   payoffs are affine in a single coordinate and the weak order of the
   actions is constant between consecutive pairwise indifference points, so
@@ -143,13 +145,14 @@ def find_grid_dip(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
 
 
 def _tie_solver(alpha: int, beta: int) -> tuple[int, int, int, int, int, bool]:
-    """What `_block_ties` needs of the line c0 + a*alpha + b*beta = 0 apart
-    from c0, as (sign, g, step, coef, inverse, swap).  One of a, b is free
-    (u) and the other follows from it (w): b follows a unless beta = 0,
-    which `swap`s them.  Times sign/g the line reads c + coef*u + step*w = 0
-    with step > 0, so u runs through one residue class modulo step, found
-    with coef's `inverse` modulo step, and w falls by coef as u rises by
-    step.  g = 0 when alpha = beta = 0: the line is all of a block or none."""
+    """What a leaf needs of the line c0 + a*alpha + b*beta = 0 apart from
+    c0, as (sign, g, step, coef, inverse, swap).  One of a, b is free (u)
+    and the other follows from it (w): b follows a unless beta = 0, which
+    `swap`s them.  Times sign/g the line reads c + coef*u + step*w = 0 with
+    step > 0, so it has a lattice point only when g divides c0, and then u
+    runs through the residue class of -c*inverse modulo step, inverse being
+    coef's inverse modulo step; w falls by coef as u rises by step.  g = 0
+    when alpha = beta = 0: the line is all of a block or none."""
     swap = not beta
     if swap:
         alpha, beta = beta, alpha
@@ -162,22 +165,18 @@ def _tie_solver(alpha: int, beta: int) -> tuple[int, int, int, int, int, bool]:
 
 
 def _block_ties(
-    c0: int, solver: tuple[int, int, int, int, int, bool], rest: int, tops: tuple[int, int]
+    c: int, u0: int, solver: tuple[int, int, int, int, int, bool], rest: int,
+    tops: tuple[int, int],
 ) -> list[tuple[int, int]]:
-    """The integer points (a, b) of c0 + a*alpha + b*beta = 0 with a, b >= 0,
-    a + b <= rest, a <= tops[0] and b <= tops[1], in O(1 + #points)."""
+    """The integer points (a, b) of the line c + coef*u + step*w = 0 of
+    `solver` with a, b >= 0, a + b <= rest, a <= tops[0] and b <= tops[1],
+    in O(1 + #points), given its least u >= 0, u0.  With g = 0 (the caller
+    has checked that c0 = 0) every point of the block is on it."""
     sign, g, step, coef, inverse, swap = solver
-    u_top, w_top = tops[::-1] if swap else tops
     if not g:
-        if c0:
-            return []
         return [(a, b) for a in range(tops[0] + 1) for b in range(min(tops[1], rest - a) + 1)]
-    c0 *= sign
-    if c0 % g:
-        return []
-    c0 //= g
-    u0 = -c0 * inverse % step
-    w0 = -(c0 + u0 * coef) // step
+    u_top, w_top = tops[::-1] if swap else tops
+    w0 = -(c + u0 * coef) // step
     # t >= 0 keeps u >= 0; each (k, r) below is the constraint k*t <= r:
     # w >= 0, w <= w_top and u + w <= rest
     lo, hi = 0, (u_top - u0) // step
@@ -212,13 +211,21 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
     over their first n - 3 parts, in lexicographic order, with an explicit
     stack.  A block that fixes those parts and leaves `rest` units keeps
     the pairs of its parent block whose d takes 0 on it: d's range there is
-    exactly d.prefix + rest*[min, max] of d over the states left.  On the
-    last three parts (a, b, rest - a - b) a pair ties on the integer points
-    of one line, listed in O(1 + #points) by `_block_ties`.  A block with
-    more live pairs than actions first drops each pair with an action that
-    stays below, on all of the block, the action whose least payoff there is
-    the highest: such a pair never ties at the maximum there.  Fewer than
-    three states pad the front with parts held at 0."""
+    exactly d.prefix + rest*[min, max] of d over the states left.  A block
+    with more live pairs than actions first drops each pair with an action
+    that stays below, on all of the block, the action whose least payoff
+    there is the highest: such a pair never ties at the maximum there.
+
+    The leaves, which fix all of the first n - 3 parts, are read at their
+    parent, in order, child x[n - 4] = v after child, and are never pushed.
+    On a leaf's last three parts (a, b, left - a - b) a pair ties on the
+    integer points of one line (`_tie_solver`).  A residue test rejects
+    nearly every pair in O(1): the line has no lattice point with u in
+    [0, u-top] when g does not divide its constant or when its least u >= 0
+    is above u-top.  Of the pairs left, those whose d keeps one sign on the
+    leaf are dropped, and `_block_ties` lists the ties of the rest in
+    O(1 + #points).  Fewer than four states pad the front with parts held
+    at 0."""
     if spec.dimension != problem.num_states:
         raise ValueError("grid dimension does not match the state count")
     rows = integer_payoff(problem)
@@ -227,19 +234,29 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
     if not pairs:
         return None
     diffs = [[a - b for a, b in zip(rows[i], rows[k])] for i, k in pairs]
-    pad = max(3 - spec.dimension, 0)
+    pad = max(4 - spec.dimension, 0)
     depth = spec.dimension + pad - 3
     # Over states t..n-1: the min and max of each pair's d (lows[t],
     # highs[t]), each action's least payoff (floors[t]), and by how much at
-    # most action i beats action j (above[t][j*m + i]).
+    # most action i beats action j (above[t][j*m + i]).  With pad > 0 the
+    # root is the only block, so t = 0 there also counts the padded parts.
     columns, payoffs = list(zip(*diffs)), list(zip(*rows))
     lows, highs = _suffix_extremes(columns, min), _suffix_extremes(columns, max)
     floors = _suffix_extremes(payoffs, min)
     above = _suffix_extremes([[u - w for w in us for u in us] for us in payoffs], max)
     columns = [(0,) * len(pairs)] * pad + columns
-    solvers = [_tie_solver(x - z, y - z) for x, y, z in zip(*columns[-3:])]
+    # On a leaf's last three parts (a, b, left - a - b) pair p's d is
+    # c0 + a*alpha + b*beta, where c0 = d.x at a = b = 0.  a and b are free
+    # unless padded, and the least and most of a*alpha + b*beta over the
+    # leaf are left times spans[p].
+    free = (int(pad < 2), int(pad < 3))
+    slopes = [(x - z, y - z) for x, y, z in zip(*columns[-3:])]
+    solvers = [_tie_solver(alpha, beta) for alpha, beta in slopes]
+    spans = [(min(0, free[0] * alpha, free[1] * beta), max(0, free[0] * alpha, free[1] * beta))
+             for alpha, beta in slopes]
     last = columns[-1]
-    corner = [((0,) * pad + tuple(row))[-3:] for row in rows]
+    # each action's payoffs on the last four parts
+    corner = [((0,) * pad + tuple(row))[-4:] for row in rows]
     live = [(p, 0) for p in range(len(pairs)) if lows[0][p] <= 0 <= highs[0][p]]
     stack = [((), spec.denominator, live, 0)]
     while stack:
@@ -255,30 +272,53 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
             beats = above[t][best * m:best * m + m]
             ok = [h - head[best] + rest * a >= 0 for h, a in zip(head, beats)]
             live = [(p, c) for p, c in live if ok[pairs[p][0]] and ok[pairs[p][1]]]
-        if t < depth and rest:
+        column = columns[t]
+        if t + 1 < depth and rest:
             # the block's children x[t] = 0, 1, ..., rest, one per pop
             if v < rest:
                 stack.append((prefix, rest, live, v + 1))
-            column, lo, hi, left = columns[t], lows[t + 1], highs[t + 1], rest - v
+            lo, hi, left = lows[t + 1], highs[t + 1], rest - v
             kept = [(p, c) for p, base in live for c in (base + v * column[p],)
                     if c + left * lo[p] <= 0 <= c + left * hi[p]]
             if kept:
                 stack.append((prefix + (v,), left, kept, 0))
             continue
-        # a leaf: the numerators prefix, 0, ..., 0, a, b, rest - a - b
-        points = set()
-        bounds = (rest if pad < 1 else 0, rest if pad < 2 else 0)
-        for p, c in live:
-            points.update(_block_ties(c + rest * last[p], solvers[p], rest, bounds))
-        if points and head is None:
-            head = [sum(map(mul, prefix, row)) for row in rows]
-        for a, b in sorted(points):
-            c = rest - a - b
-            triple = _first_gap_triple(
-                [h + a * x + b * y + c * z for h, (x, y, z) in zip(head, corner)])
-            if triple is not None:
-                numerators = prefix + (0,) * (depth - t) + (a, b, c)
-                return spec.belief(list(numerators[pad:])), triple
+        # the children are leaves: numerators prefix, v, 0, ..., 0, a, b,
+        # left - a - b, read here in order (a padded part stays at v = 0; a
+        # block with no units left is read as its one child v = 0)
+        for v in range(1 if pad else rest + 1):
+            left = rest - v
+            tops = (left * free[0], left * free[1])
+            points = set()
+            for p, base in live:
+                solver = solvers[p]
+                sign, g, step, coef, inverse, swap = solver
+                c0 = base + v * column[p] + left * last[p]
+                c, u0 = c0 * sign, 0
+                if g:
+                    # the residue test: no lattice point, or none with u
+                    # in [0, u-top]
+                    if c % g:
+                        continue
+                    c //= g
+                    u0 = -c * inverse % step
+                    if u0 > tops[swap]:
+                        continue
+                # the few pairs left: does d take 0 on the leaf at all?
+                low, high = spans[p]
+                if c0 + left * low <= 0 <= c0 + left * high:
+                    points.update(_block_ties(c, u0, solver, left, tops))
+            if not points:
+                continue
+            if head is None:
+                head = [sum(map(mul, prefix, row)) for row in rows]
+            for a, b in sorted(points):
+                c = left - a - b
+                triple = _first_gap_triple([h + v * w + a * x + b * y + c * z
+                                            for h, (w, x, y, z) in zip(head, corner)])
+                if triple is not None:
+                    numerators = prefix + (v,) + (0,) * (depth - t - 1) + (a, b, c)
+                    return spec.belief(list(numerators[pad:])), triple
     return None
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import qccheck.cli as cli_module
 import qccheck.geometry as geometry_module
+import qccheck.oracle as oracle_module
 import qccheck.qcc as qcc_module
 from qccheck import (
     Belief,
@@ -579,6 +580,13 @@ class TestHarnessStability:
         assert all(r["prop1_agreement"] for r in doc["instances"])
 
 
+def _wide_oracle_sections():
+    return [
+        analyze_problem(random_problem(9100 + index, actions, states, 1000), 12)["oracle"]
+        for index, (states, actions) in enumerate((s, a) for s in (6, 7, 8) for a in (4, 5, 6))
+    ]
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -671,15 +679,20 @@ class TestPinnedOutput:
     def test_wide_oracle_sections_digest(self):
         # one problem per benchmark `wide` shape: 6-8 states by 4-6 actions,
         # payoffs up to 1000, grid 12; nine grid dips, six of them with a gap
-        sections = [
-            analyze_problem(random_problem(9100 + index, actions, states, 1000), 12)["oracle"]
-            for index, (states, actions) in enumerate(
-                (s, a) for s in (6, 7, 8) for a in (4, 5, 6)
-            )
-        ]
+        sections = _wide_oracle_sections()
         assert _sha256(json.dumps(sections, sort_keys=True)) == (
             "fde92bad2bf75c6c0f47e1a59029b7716659fba3f282555641e6b647e7997b48"
         )
+
+    def test_wide_gap_searches_list_few_leaf_ties(self, monkeypatch):
+        # a work guard on the same nine problems: the residue and range
+        # tests leave 102 leaf lines to list, where listing every leaf that
+        # the real-range filter keeps takes 6,030
+        calls, block_ties = [], oracle_module._block_ties
+        monkeypatch.setattr(oracle_module, "_block_ties",
+                            lambda *args: calls.append(args) or block_ties(*args))
+        _wide_oracle_sections()
+        assert 0 < len(calls) <= 125
 
 
 def _bench_tracing():

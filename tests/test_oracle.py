@@ -7,6 +7,7 @@ from itertools import combinations, islice, product
 
 import pytest
 
+import qccheck.oracle as oracle_module
 from qccheck import (
     Belief,
     DecisionProblem,
@@ -234,6 +235,42 @@ def _assert_search_matches_walk(cases):
     return findings
 
 
+def _leaf_lines():
+    """(states, c0, alpha, beta, rest) rows: random 4-state lines, with
+    beta = 0, alpha = beta = 0 and negative beta among them, and the lines
+    that 1-3 states pad to, where c0 = -rest*alpha or a multiple of rest."""
+    rng = SplitMix64(5150)
+    rows = [(4, 0, 0, 0, 3), (4, 5, 0, 0, 3), (4, 6, -3, 0, 4), (4, 7, -3, 0, 4),
+            (4, -4, 2, -2, 5), (4, 9, 6, -4, 7), (4, 0, 0, 0, 0), (4, 3, 1, 1, 0)]
+    for _ in range(400):
+        rows.append((4, rng.next_int(-40, 40), rng.next_int(-7, 7), rng.next_int(-7, 7),
+                     rng.next_int(0, 9)))
+    for _ in range(60):
+        alpha, beta, rest = rng.next_int(-5, 5), rng.next_int(-5, 5), rng.next_int(1, 9)
+        rows.append((3, rest * rng.next_int(-5, 5), alpha, beta, rest))
+        rows.append((2, -rest * alpha, alpha, beta, rest))
+        rows.append((1, -rest * alpha, alpha, alpha, rest))
+    return rows
+
+
+def _leaf_problem(states, c0, alpha, beta, rest):
+    """A problem and grid whose gap search reads a leaf with `rest` units
+    left on which the pair (0, 2) ties on c0 + a*alpha + b*beta = 0.  Its d
+    is row 0, and row 1 is best everywhere, so no gap stops the search.
+    With 4 states that leaf is x0 = 1; with fewer the root is the leaf."""
+    if states == 4:
+        d, denominator = [c0, alpha, beta, 0], rest + 1
+    elif states == 3:
+        d, denominator = [alpha + c0 // rest, beta + c0 // rest, c0 // rest], rest
+    elif states == 2:
+        d, denominator = [beta - alpha, -alpha], rest
+    else:
+        d, denominator = [-alpha], rest
+    high = 1 + max(0, *d)
+    problem = DecisionProblem.from_matrix([d, [high] * states, [0] * states])
+    return problem, GridSpec(denominator, states)
+
+
 class TestGapSearch:
     """The tie search against the walk it replaced, gap for gap."""
 
@@ -304,16 +341,70 @@ class TestGapSearch:
         assert 0 < sum(found is not None for found in findings) < len(cases)
 
     def test_block_ties_list_every_lattice_point_on_the_line(self):
+        # u0 is found by trying every u below step, apart from the inverse
+        # the search uses; a line rejected by its residue has no point
         for alpha, beta in product(range(-5, 6), repeat=2):
             solver = _tie_solver(alpha, beta)
+            sign, g, step, coef, _, swap = solver
             for rest in range(6):
                 for tops in ((rest, rest), (0, rest), (rest, 0), (0, 0)):
                     for c0 in range(-15, 16):
-                        listed = _block_ties(c0, solver, rest, tops)
-                        assert sorted(listed) == [
+                        expected = [
                             (a, b) for a in range(tops[0] + 1) for b in range(tops[1] + 1)
                             if a + b <= rest and c0 + a * alpha + b * beta == 0
                         ]
+                        if not g:
+                            if c0:
+                                assert expected == []
+                            else:
+                                assert sorted(_block_ties(0, 0, solver, rest, tops)) == expected
+                            continue
+                        if c0 * sign % g:
+                            assert expected == []
+                            continue
+                        c = c0 * sign // g
+                        u0 = next(u for u in range(step) if (c + coef * u) % step == 0)
+                        if u0 > tops[swap]:
+                            assert expected == []
+                        else:
+                            assert sorted(_block_ties(c, u0, solver, rest, tops)) == expected
+
+    def test_leaf_calls_block_ties_only_where_its_line_can_meet_it(self, monkeypatch):
+        # one row per leaf line c0 + a*alpha + b*beta = 0 with `rest` units:
+        # the search calls `_block_ties` for it exactly when the line has a
+        # lattice point whose free coordinate u is in [0, u-top] and the
+        # plane meets the leaf, and the points it lists are all of the ties
+        calls = []
+
+        def recorded(c, u0, solver, rest, tops):
+            points = _block_ties(c, u0, solver, rest, tops)
+            calls.append((rest, tops, sorted(points)))
+            return points
+
+        monkeypatch.setattr(oracle_module, "_block_ties", recorded)
+        outcomes = set()
+        for states, c0, alpha, beta, rest in _leaf_lines():
+            tops = {4: (rest, rest), 3: (rest, rest), 2: (0, rest), 1: (0, 0)}[states]
+            calls.clear()
+            assert find_grid_gap(*_leaf_problem(states, c0, alpha, beta, rest)) is None
+            listed = [points for left, at, points in calls if left == rest]
+            assert all(at == tops for left, at, _ in calls if left == rest)
+            ties = [(a, b) for a in range(tops[0] + 1) for b in range(tops[1] + 1)
+                    if a + b <= rest and c0 + a * alpha + b * beta == 0]
+            # u is a, or b when beta = 0; the other coordinate is w
+            if beta:
+                lattice = any((c0 + a * alpha) % beta == 0 for a in range(tops[0] + 1))
+            else:
+                lattice = not alpha or c0 % alpha == 0
+            ends = (c0, c0 + tops[0] * alpha, c0 + tops[1] * beta)
+            meets = min(ends) <= 0 <= max(ends)
+            assert len(listed) == (lattice and meets)
+            assert (listed or [[]])[0] == ties
+            outcomes.add((states, lattice, meets, bool(ties)))
+        # every state count reaches a call that lists ties, and the 4-state
+        # rows also reach each reject alone and a call that lists none
+        assert {(states, True, True, True) for states in (1, 2, 3, 4)} <= outcomes
+        assert {(4, False, True, False), (4, True, False, False), (4, True, True, False)} <= outcomes
 
     def test_deep_grids_need_no_recursion(self):
         cases = [(random_problem(7, 3, 2000, 1000), GridSpec(1, 2000)),
