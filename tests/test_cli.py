@@ -22,6 +22,7 @@ from qccheck import (
     DecisionProblem,
     InternalInvariantError,
     PolynomialProblem,
+    SplitMix64,
     check_argmax_convexity,
     check_qcc,
     find_grid_gap,
@@ -587,6 +588,23 @@ def _wide_oracle_sections():
     ]
 
 
+def _ladder_problems(seed=1):
+    """The benchmark's `ladder` inputs for a seed: `discretize` output at
+    m = 8, 8, 8, 10, 10, 10, 10, 10, 12, 12 of three downward parabolas on
+    [0, 1] with peaks 0, 1/2 and 1, so every check holds."""
+    rng = SplitMix64(seed)
+    problems = []
+    for m in (8, 8, 8, 10, 10, 10, 10, 10, 12, 12):
+        coefficients = []
+        for peak in (F(0), F(1, 2), F(1)):
+            curvature, offset = rng.next_int(1, 4), rng.next_int(-3, 3)
+            coefficients.append((offset - curvature * peak * peak, 2 * curvature * peak,
+                                 F(-curvature)))
+        poly = PolynomialProblem((F(0), F(1)), ("low", "mid", "high"), tuple(coefficients))
+        problems.append(poly.discretize(m))
+    return problems
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -675,6 +693,24 @@ class TestPinnedOutput:
             del report["timing"]
             reports.append(report)
         assert _sha256(json.dumps(reports)) == digest
+
+    def test_ladder_reports_digest(self, tmp_path, capsys):
+        # every check holds on these inputs, so the reports carry every
+        # survivor's condition-38 witness and the holding LSC blocks
+        reports = []
+        for index, problem in enumerate(_ladder_problems()):
+            path = write_json(tmp_path / f"ladder{index}.json", problem_to_json(problem))
+            for argv in (["analyze", path, "--grid", "20"], ["eliminate", path],
+                         ["relabel", path]):
+                assert main(argv) == 0
+                report = json.loads(capsys.readouterr().out)
+                del report["timing"]
+                reports.append(report)
+        assert all(r["qcc"]["holds"] and r["lsc"]["before"]["relaxed"]["holds"]
+                   for r in reports[::3])
+        assert _sha256(json.dumps(reports)) == (
+            "a9b62bbc732bb4f314ea34a47b7b148af8fdb00e174c40c831d3d4b3c7dbf1c6"
+        )
 
     def test_wide_oracle_sections_digest(self):
         # one problem per benchmark `wide` shape: 6-8 states by 4-6 actions,
