@@ -20,14 +20,21 @@ edge between two point masses has that belief as a witness (stepped into the
 interior the same way), so by duality it is undominated and needs no LP.  On
 an edge the expected payoffs are lines in lam, so the set where the action
 beats every other one is an open interval cut out by half-lines; the edge
-step is `exactlp.edge_witness` on the action's margins over the others, the
+step is `exactlp.edge_point` on the action's margins over the others, the
 middle of the first such interval.  The screen is sufficient, not necessary:
 an action may be uniquely optimal only in the interior, since the
 Caratheodory argument that brings two strict rows to an edge (see `qcc`)
 does not reach m - 1 of them.  The mixture LP settles what the screen
-leaves.  The payoffs are scaled to integers once (`problems.integer_payoff`):
-the screen, the step and every "uniquely best" check are integer dot
-products with a belief's numerators, as one positive scale changes no sign.
+leaves.
+
+The elimination runs on the problem's scaled payoffs (`integer_payoff`),
+as one positive scale changes no sign: duplicates are equal scaled rows,
+and every belief is a `Point`, integer numerators over one denominator.
+The screens and the Farkas ray give such points, the interior step computes
+its e and the stepped numerators in integers, and every "uniquely best"
+check is an integer dot product with the numerators.  Fractions are first
+built at the end: one `Belief` per survivor, after its point is re-checked
+in integers on the surviving rows.
 """
 
 from __future__ import annotations
@@ -36,13 +43,16 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, edge_witness, solve, strict_feasible
+from .exactlp import LinearSystem, edge_point, solve, strict_feasible
 from .problems import Belief, DecisionProblem, integer_payoff
 
 RemovalReason = Literal["duplicate", "mixed-dominated"]
+
+# A belief as integer numerators over one positive denominator.
+Point = tuple[list[int], int]
 
 
 @dataclass(frozen=True)
@@ -125,12 +135,12 @@ def mixed_dominance_certificate(
 
 
 def _duality_check(
-    problem: DecisionProblem, action_index: int, scaled: list[list[int]]
-) -> tuple[Optional[tuple[Fraction, ...]], Optional[Belief]]:
+    problem: DecisionProblem, action_index: int, scaled: Sequence[Sequence[int]]
+) -> tuple[Optional[tuple[Fraction, ...]], Optional[Point]]:
     """Both sides of one action's dominance duality from the mixture LP:
-    (dominating mixture weights, None), or (None, an interior belief where
-    the action is uniquely optimal) read off the LP's Farkas certificate.
-    `scaled` holds the payoffs times one positive integer."""
+    (dominating mixture weights, None), or (None, an interior point where
+    the action is uniquely optimal) stepped from the LP's Farkas
+    certificate.  `scaled` holds the payoffs times one positive integer."""
     problem._check_action(action_index)
     if problem.num_actions < 2:
         raise ValueError("mixed dominance needs at least two actions")
@@ -143,9 +153,10 @@ def _duality_check(
     result = solve(LinearSystem.build(len(others), rows))
     if not result.is_optimal:
         assert result.farkas is not None
-        total = sum(result.farkas, Fraction(0))
-        ray = Belief(tuple(lam / total for lam in result.farkas))
-        return None, _interior_witness(scaled, action_index, ray)
+        # the ray, normalized, is its integer multiple over that multiple's sum
+        scale = math.lcm(*(lam.denominator for lam in result.farkas))
+        ray = [lam.numerator * (scale // lam.denominator) for lam in result.farkas]
+        return None, _interior_witness(scaled, action_index, (ray, sum(ray)))
     assert result.witness is not None
     weights = [Fraction(0)] * problem.num_actions
     for j, w in zip(others, result.witness.coordinates):
@@ -155,57 +166,64 @@ def _duality_check(
 
 
 def _interior_witness(
-    rows: list[list[int]], action_index: int, p: Belief
-) -> Belief:
-    """Step a belief p where the action is the only optimal one into the
+    rows: Sequence[Sequence[int]], action_index: int, start: Point
+) -> Point:
+    """Step a point p where the action is the only optimal one into the
     interior, keeping it the only optimal one.
 
     p is the mixture LP's normalized Farkas certificate, or a screened point
-    mass, uniform belief or edge point.  With g_j = p.(u_i - u_j) > 0 and
+    mass, uniform belief or edge point, given as numerators w over their
+    denominator Q.  With g_j = p.(u_i - u_j) > 0 and
     d_j = uniform.(u_i - u_j), q = (1 - e) p + e uniform keeps every margin
     (1 - e) g_j + e d_j positive for
     e = min(1/2, min over d_j < 0 of g_j / (2 (g_j - d_j))).
-    On the integer rows (the payoffs times S), with p's numerators w over
-    their common denominator Q and n states, G_j = w.(r_i - r_j) is g_j Q S
-    and D_j = sum(r_i - r_j) is d_j n S, so the same e is
-    G_j n / (2 (G_j n - D_j Q)): the positive scales cancel in the ratio.
+    On the integer rows (the payoffs times S) with n states,
+    G_j = w.(r_i - r_j) is g_j Q S and D_j = sum(r_i - r_j) is d_j n S, so
+    the same e is G_j n / (2 (G_j n - D_j Q)): the positive scales cancel
+    in the ratio.  With e = a / b, q's numerators are (b - a) n w + a Q over
+    b Q n.  Every step is an integer operation.
     """
-    n = len(p)
-    weights, q = _numerators(p)
+    weights, q = start
+    n = len(weights)
     at_p = [sum(map(operator.mul, weights, row)) for row in rows]
     sums = [sum(row) for row in rows]
-    epsilon = Fraction(1, 2)
+    a, b = 1, 2
     for at_j, sum_j in zip(at_p, sums):
         g, d = at_p[action_index] - at_j, sums[action_index] - sum_j
         if d < 0 < g:  # with d < 0 and g <= 0 no step helps; the check raises
-            epsilon = min(epsilon, Fraction(g * n, 2 * (g * n - d * q)))
-    witness = Belief(tuple((1 - epsilon) * a + epsilon / n for a in p.coordinates))
-    if not witness.is_interior or not _uniquely_best(rows, action_index, witness):
+            top, bottom = g * n, 2 * (g * n - d * q)
+            if top * b < a * bottom:
+                a, b = top, bottom
+    witness = [(b - a) * n * w + a * q for w in weights], b * q * n
+    if not _is_witness(rows, action_index, witness):
         raise InternalInvariantError(
             "dominance-duality",
-            f"action {action_index}: the belief {witness.coordinates} stepped "
-            f"from {p.coordinates} does not make it uniquely optimal in the "
-            "interior",
+            f"action {action_index}: the numerators {witness[0]} over {witness[1]} "
+            f"stepped from {weights} over {q} do not make it uniquely optimal in "
+            "the interior",
         )
     return witness
 
 
-def _numerators(belief: Belief) -> tuple[list[int], int]:
-    """The belief's coordinates as integers over their common denominator."""
-    q = math.lcm(*(c.denominator for c in belief.coordinates))
-    return [c.numerator * (q // c.denominator) for c in belief.coordinates], q
+def _is_witness(rows: Sequence[Sequence[int]], action_index: int, point: Point) -> bool:
+    """Whether the point is an interior belief, every numerator positive
+    and their sum the denominator, where the action alone is optimal."""
+    weights, q = point
+    return (all(w > 0 for w in weights) and sum(weights) == q
+            and _uniquely_best(rows, action_index, weights))
 
 
-def _uniquely_best(rows: list[list[int]], action_index: int, belief: Belief) -> bool:
+def _uniquely_best(
+    rows: Sequence[Sequence[int]], action_index: int, weights: Sequence[int]
+) -> bool:
     """Whether the action alone attains the top expected payoff at the
-    belief, by integer dot products with the belief's numerators."""
-    weights = _numerators(belief)[0]
+    belief with these numerators, by integer dot products."""
     at = [sum(map(operator.mul, weights, row)) for row in rows]
     return all(v < at[action_index] for j, v in enumerate(at) if j != action_index)
 
 
-def _screened_witness(rows: list[list[int]], action_index: int) -> Optional[Belief]:
-    """A belief where the action is the only optimal one, found by inspection
+def _screened_witness(rows: Sequence[Sequence[int]], action_index: int) -> Optional[Point]:
+    """A point where the action is the only optimal one, found by inspection
     on the integer rows: the point mass on the first state where it beats
     every other action, else the uniform belief if it beats them all there,
     else the middle of the open interval where it beats them all on the
@@ -215,12 +233,12 @@ def _screened_witness(rows: list[list[int]], action_index: int) -> Optional[Beli
     others = rows[:action_index] + rows[action_index + 1:]
     for state, value in enumerate(target):
         if all(row[state] < value for row in others):
-            return Belief.point_mass(state, n)
+            return [int(j == state) for j in range(n)], 1
     total = sum(target)
     if all(sum(row) < total for row in others):
-        return Belief.uniform(n)
+        return [1] * n, n
     margins = [[value - row[state] for row in others] for state, value in enumerate(target)]
-    return edge_witness(margins, (True,) * len(others))
+    return edge_point(margins, (True,) * len(others))
 
 
 def _verify_mixture(
@@ -262,9 +280,10 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
     """
     removed: list[RemovedAction] = []
 
-    seen: dict[tuple[Fraction, ...], int] = {}
+    scaled = integer_payoff(problem)
+    seen: dict[tuple[int, ...], int] = {}
     active: list[int] = []
-    for i, row in enumerate(problem.payoff):
+    for i, row in enumerate(scaled):
         if row in seen:
             removed.append(
                 RemovedAction(i, "duplicate", ((seen[row], Fraction(1)),))
@@ -273,8 +292,7 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
             seen[row] = i
             active.append(i)
 
-    found: dict[int, Belief] = {}
-    scaled = integer_payoff(problem)
+    found: dict[int, Point] = {}
     rows = [scaled[i] for i in active]
     surviving = problem.restrict_actions(active)
     position = 0
@@ -295,20 +313,19 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
         del rows[position]
         surviving = problem.restrict_actions(active)
 
+    n = problem.num_states
     witnesses = []
     for position, original in enumerate(active):
-        witness = found.get(original)
-        if witness is None:
-            # A lone survivor the scan never reached is the only action, so
-            # it is uniquely optimal everywhere; the uniform belief is interior.
-            witness = Belief.uniform(problem.num_states)
-        if not witness.is_interior or not _uniquely_best(rows, position, witness):
+        # A lone survivor the scan never reached is the only action, so it
+        # is uniquely optimal everywhere; the uniform belief is interior.
+        point = found.get(original, ([1] * n, n))
+        if not _is_witness(rows, position, point):
             raise InternalInvariantError(
                 "post-elimination-certification",
                 f"surviving action {original} has no interior "
                 "unique-optimality witness",
             )
-        witnesses.append(witness)
+        witnesses.append(Belief.from_numerators(*point))
 
     # each stored certificate, re-checked against the input payoffs
     for removal in removed:

@@ -22,13 +22,15 @@ maximized.  The open system has a solution over the simplex if and only if
 the optimum t* is strictly positive; the compactness of the simplex makes
 this criterion exact.
 
-`edge_witness` is the one search for a belief on the point masses and edges
-of the simplex, shared by `qcc`, nesting and the elimination screen: the
-first point mass where every row holds, else the middle of the interval
-`segment_interval` finds on the first edge that has one.  The belief is
-re-verified by substitution on the rows, which may be integers: one
-positive scale factor leaves it unchanged, as its ends are roots
--u / (v - u).  For two rows the search is complete.  Each state s maps to
+`edge_point` is the one search for a belief on the point masses and edges
+of the simplex, shared by `qcc`, convexity, nesting and the elimination
+screen: the first point mass where every row holds, else the middle of the
+interval `segment_interval` finds on the first edge that has one.  It
+returns the belief's integer numerators over one denominator, which the
+elimination uses as they are; `edge_witness` wraps them in a `Belief`.
+The belief is re-verified by substitution on the rows, which may be
+integers: one positive scale factor leaves it unchanged, as its ends are
+roots -u / (v - u).  For two rows the search is complete.  Each state s maps to
 the point (a_s, b_s) and the beliefs onto the convex hull of these points;
 if the hull meets the open quadrant (or the quadrant with its positive
 a-axis), some vertex or edge of a Caratheodory triangle meets it too.
@@ -392,16 +394,25 @@ def strict_feasible(system: LinearSystem) -> LPResult:
 def edge_witness(
     columns: Sequence[Sequence[Rational]], strict: Sequence[bool]
 ) -> Optional[Belief]:
+    """`edge_point`'s belief, built from its numerators."""
+    point = edge_point(columns, strict)
+    return None if point is None else Belief.from_numerators(*point)
+
+
+def edge_point(
+    columns: Sequence[Sequence[Rational]], strict: Sequence[bool]
+) -> Optional[tuple[list[int], int]]:
     """A belief where every row r holds: sum_s columns[s][r] x_s > 0 when
-    `strict[r]`, >= 0 otherwise.  `columns[s]` holds the rows' values at
-    state s.  The first point mass where they all hold, else the middle of
-    `segment_interval` on the first edge (s, t) that has one, else None.  A
-    point mass is found by substitution itself; an edge belief is
-    re-verified by substitution at its lam, the weight on t."""
+    `strict[r]`, >= 0 otherwise, as integer numerators over one positive
+    denominator.  `columns[s]` holds the rows' values at state s.  The first
+    point mass where they all hold, else the middle of `segment_interval`
+    on the first edge (s, t) that has one, else None.  A point mass is
+    found by substitution itself; an edge belief is re-verified by
+    substitution at its lam, the weight on t."""
     n = len(columns)
     for s, column in enumerate(columns):
         if all(map(_holds, column, strict)):
-            return Belief.point_mass(s, n)
+            return [int(j == s) for j in range(n)], 1
     for s, t in itertools.combinations(range(n), 2):
         interval = segment_interval(zip(columns[s], columns[t], strict))
         if interval is not None:
@@ -414,9 +425,9 @@ def edge_witness(
                     "lp-witness-substitution",
                     f"lam = {lam} on edge ({s}, {t}) fails a row of {columns}",
                 )
-            coords = [_ZERO] * n
-            coords[s], coords[t] = _ONE - lam, lam
-            return Belief(tuple(coords))
+            numerators = [0] * n
+            numerators[s], numerators[t] = q - p, p
+            return numerators, q
     return None
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .exactlp import LinearSystem, edge_witness, motzkin_certificate, solve
@@ -182,7 +182,7 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
 
 def _beats_without(
     problem: DecisionProblem,
-    scaled: list[list[int]],
+    scaled: Sequence[Sequence[int]],
     positive: tuple[int, int],
     nonpositive: tuple[int, int],
     invariant: str,

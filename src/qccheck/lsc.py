@@ -9,6 +9,12 @@ negative.
 `relabel_for_lsc` realizes the constructive half of the theory: sorting the
 states by the lowest optimal action of their point-mass beliefs turns any
 whole-simplex-unimodal problem into one that passes the (relaxed) check.
+
+Both read signs and maxima off the problem's scaled payoffs
+(`problems.integer_payoff`), which one positive scale leaves unchanged.
+Fractions are first built for the report: `check_lsc` builds the
+`DifferenceVector` of the failing action only, and a holding check builds
+none.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .problems import (
     DecisionProblem,
     DifferenceVector,
     QuasiMonotoneMode,
+    integer_payoff,
     is_quasi_monotone,
 )
 
@@ -59,40 +66,47 @@ class LscVerdict:
 def difference_vectors(problem: DecisionProblem) -> tuple[DifferenceVector, ...]:
     """State-wise increments of each action over its predecessor; the vector
     for action 0 is identically zero."""
-    vectors = [
-        DifferenceVector(0, tuple(Fraction(0) for _ in range(problem.num_states)))
-    ]
-    for i in range(1, problem.num_actions):
-        entries = tuple(
-            a - b for a, b in zip(problem.payoff[i], problem.payoff[i - 1])
-        )
-        vectors.append(DifferenceVector(i, entries))
-    return tuple(vectors)
+    return tuple(_difference_vector(problem, i) for i in range(problem.num_actions))
+
+
+def _difference_vector(problem: DecisionProblem, action_index: int) -> DifferenceVector:
+    if action_index == 0:
+        return DifferenceVector(0, tuple(Fraction(0) for _ in range(problem.num_states)))
+    entries = tuple(
+        a - b for a, b in zip(problem.payoff[action_index], problem.payoff[action_index - 1])
+    )
+    return DifferenceVector(action_index, entries)
 
 
 def check_lsc(
     problem: DecisionProblem, mode: QuasiMonotoneMode = "relaxed"
 ) -> LscVerdict:
     """Check that every difference vector is quasi-monotone in the given
-    mode; the first failing action is reported."""
-    for vector in difference_vectors(problem):
-        ok, _ = is_quasi_monotone(vector.entries, mode)
+    mode; the first failing action is reported.  The signs are read off
+    the scaled payoffs, and only the failing action's vector is built."""
+    rows = integer_payoff(problem)
+    entries = [0] * problem.num_states
+    for i in range(problem.num_actions):
+        if i:
+            entries = [a - b for a, b in zip(rows[i], rows[i - 1])]
+        ok, _ = is_quasi_monotone(entries, mode)
         if not ok:
             return LscVerdict(
                 holds=False,
                 mode=mode,
-                failing_action=vector.action_index,
-                failing_vector=vector,
+                failing_action=i,
+                failing_vector=_difference_vector(problem, i),
             )
     return LscVerdict(holds=True, mode=mode, failing_action=None, failing_vector=None)
 
 
 def lowest_optimal_action(problem: DecisionProblem, state_index: int) -> int:
     """Index of the lowest action maximizing the payoff column of a state,
-    i.e. the minimum of the optimal-action set under the point-mass belief."""
-    column = problem.column(state_index)
-    best = max(column)
-    return column.index(best)
+    i.e. the minimum of the optimal-action set under the point-mass belief;
+    read off the scaled payoffs."""
+    problem._check_state(state_index)
+    column = [row[state_index] for row in integer_payoff(problem)]
+    return column.index(max(column))
 
 
 def relabel_for_lsc(problem: DecisionProblem) -> tuple[Relabeling, DecisionProblem]:

@@ -59,7 +59,7 @@ class GridSpec:
         return math.comb(self.denominator + self.dimension - 1, self.dimension - 1)
 
     def belief(self, numerators: list[int]) -> Belief:
-        return Belief(tuple(Fraction(m, self.denominator) for m in numerators))
+        return Belief.from_numerators(numerators, self.denominator)
 
 
 def _successors(total: int, parts: int) -> Iterator[tuple[list[int], int, int]]:

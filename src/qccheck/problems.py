@@ -6,6 +6,14 @@ quantities are exact rationals (`fractions.Fraction`), so every comparison
 made anywhere in the toolkit is a true arithmetic fact rather than a
 floating-point approximation.
 
+Each problem also carries one cached copy of its payoffs scaled to integers
+by their common denominator (`DecisionProblem.scaled_payoff`, read through
+`integer_payoff`).  Every sign of a payoff difference and every comparison
+of expected payoffs survives one positive common factor, so the stages
+decide on these integers, and on beliefs kept as integer numerators over one
+denominator; a `Belief` of Fractions is built (`Belief.from_numerators`)
+only for what a report prints.
+
 The module also provides the elementary sequence predicates the rest of the
 toolkit is built from: unimodality (no strict interior dip), quasi-monotone
 sign patterns, and contiguity of index sets.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
@@ -56,6 +65,11 @@ class Belief:
         total = sum(coords)
         if total != 1:
             raise ValueError(f"belief coordinates must sum to 1, got {total}")
+
+    @classmethod
+    def from_numerators(cls, numerators: Sequence[int], denominator: int) -> "Belief":
+        """The belief with coordinates numerators[s] / denominator."""
+        return cls(tuple(Fraction(w, denominator) for w in numerators))
 
     @classmethod
     def uniform(cls, dimension: int) -> "Belief":
@@ -148,10 +162,23 @@ class DecisionProblem:
     def num_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def scaled_payoff(self) -> tuple[tuple[int, ...], ...]:
+        """The payoff matrix times the common denominator of all entries,
+        computed once per problem; see `integer_payoff`."""
+        scale = math.lcm(*(value.denominator for row in self.payoff for value in row))
+        return tuple(
+            tuple(value.numerator * (scale // value.denominator) for value in row)
+            for row in self.payoff
+        )
+
     def column(self, state_index: int) -> tuple[Fraction, ...]:
+        self._check_state(state_index)
+        return tuple(row[state_index] for row in self.payoff)
+
+    def _check_state(self, state_index: int) -> None:
         if not 0 <= state_index < self.num_states:
             raise IndexError(f"state index {state_index} out of range")
-        return tuple(row[state_index] for row in self.payoff)
 
     def _check_action(self, action_index: int) -> None:
         if not 0 <= action_index < self.num_actions:
@@ -287,17 +314,17 @@ class PolynomialProblem:
         return DecisionProblem(actions, self.states, payoff)
 
 
-def integer_payoff(problem: DecisionProblem) -> list[list[int]]:
+def integer_payoff(problem: DecisionProblem) -> tuple[tuple[int, ...], ...]:
     """Payoff matrix scaled by the common denominator of all entries.
 
     Every comparison between expected payoffs, and every sign of a payoff
     difference, survives one positive common factor, so the planar
-    decisions and the grid walk run on these plain integers.
+    decisions, the elimination, the LSC check and the grid searches run on
+    these plain integers.  The matrix is the problem's cached
+    `scaled_payoff`, so each problem is scaled once however many stages
+    read it.
     """
-    scale = math.lcm(
-        *(value.denominator for row in problem.payoff for value in row)
-    )
-    return [[int(value * scale) for value in row] for row in problem.payoff]
+    return problem.scaled_payoff
 
 
 def is_unimodal(values: Sequence[Fraction]) -> bool:

@@ -104,7 +104,7 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
     return QccVerdict(holds=False, counterexample=dip, checked_triples=count)
 
 
-def _edge_sweep(scaled: list[list[int]]) -> bool:
+def _edge_sweep(scaled: Sequence[Sequence[int]]) -> bool:
     """Whether no edge of the simplex carries a dip, on integer payoffs.
 
     A one-state problem has no edge; its single column is the whole answer.

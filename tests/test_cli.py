@@ -20,13 +20,17 @@ import qccheck.qcc as qcc_module
 from qccheck import (
     Belief,
     DecisionProblem,
+    DifferenceVector,
     InternalInvariantError,
     PolynomialProblem,
     SplitMix64,
     check_argmax_convexity,
+    check_lsc,
     check_qcc,
     find_grid_gap,
+    iterated_elimination,
     random_problem,
+    relabel_for_lsc,
     unimodality_profile,
 )
 from qccheck.cli import (
@@ -729,6 +733,52 @@ class TestPinnedOutput:
                             lambda *args: calls.append(args) or block_ties(*args))
         _wide_oracle_sections()
         assert 0 < len(calls) <= 125
+
+
+class TestLadderWork:
+    """A work guard on the benchmark's seed-1 `ladder` inputs, where every
+    check holds: payoffs are scaled once per problem object, and Fractions
+    are built only for what the report prints."""
+
+    def test_payoffs_scaled_once_per_problem(self, monkeypatch):
+        scaled = DecisionProblem.__dict__["scaled_payoff"]
+        scale, problems = scaled.func, []
+
+        def counted(problem):
+            problems.append(problem)
+            return scale(problem)
+
+        monkeypatch.setattr(scaled, "func", counted)
+        for problem in _ladder_problems():
+            problems.clear()
+            analyze_problem(problem, 20)
+            # the input, the survivors and the relabeled survivors
+            assert len({id(p) for p in problems}) == len(problems) <= 3
+            assert problems[0] is problem
+
+    def test_fractions_only_for_the_report(self, monkeypatch):
+        built = {"Belief": 0, "DifferenceVector": 0}
+
+        def counted(cls):
+            post_init = cls.__post_init__
+
+            def wrapped(self):
+                built[cls.__name__] += 1
+                post_init(self)
+            return wrapped
+
+        for cls in (Belief, DifferenceVector):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls))
+        for problem in _ladder_problems():
+            built.update(Belief=0, DifferenceVector=0)
+            report = iterated_elimination(problem)
+            assert report.removed == ()
+            assert built == {"Belief": problem.num_actions, "DifferenceVector": 0}
+            _, relabeled = relabel_for_lsc(report.surviving)
+            for mode in ("relaxed", "literal"):
+                for checked in (report.surviving, relabeled):
+                    assert check_lsc(checked, mode).holds
+            assert built["DifferenceVector"] == 0
 
 
 def _bench_tracing():

@@ -1,5 +1,6 @@
 """Dominance duality, certificates, and iterated elimination."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -97,12 +98,13 @@ class TestWitnessFromFarkasRay:
         """Returns how many actions are essential (have a witness)."""
         essential = 0
         for action in range(problem.num_actions):
-            weights, witness = _duality_check(problem, action, integer_payoff(problem))
-            assert (weights is None) != (witness is None)
+            weights, point = _duality_check(problem, action, integer_payoff(problem))
+            assert (weights is None) != (point is None)
             assert (weights is None) == (unique_optimality_witness(problem, action) is not None)
             if weights is not None:
                 assert mixture_dominates(problem, action, weights)
             else:
+                witness = Belief.from_numerators(*point)
                 assert witness.is_interior
                 assert problem.argmax_set(witness) == {action}
                 essential += 1
@@ -138,13 +140,14 @@ class TestWitnessFromFarkasRay:
         problem = DecisionProblem.from_matrix(matrix)
         weights, found = _duality_check(problem, action, integer_payoff(problem))
         assert weights is None
-        assert found.coordinates == witness
+        assert Belief.from_numerators(*found).coordinates == witness
         self.check_both_routes(problem)
 
     def test_one_state_problem(self):
         # the only belief is interior, and only the best action is essential
         problem = DecisionProblem.from_matrix([[1], [4], [2]])
-        assert _duality_check(problem, 1, integer_payoff(problem)) == (None, Belief((F(1),)))
+        weights, found = _duality_check(problem, 1, integer_payoff(problem))
+        assert weights is None and Belief.from_numerators(*found) == Belief((F(1),))
         assert self.check_both_routes(problem) == 1
 
     def test_duplicate_rows(self):
@@ -428,6 +431,12 @@ class TestEliminationLpCount:
         assert count == lps
 
 
+def numerators(belief):
+    """A belief's coordinates as integers over their common denominator."""
+    q = math.lcm(*(c.denominator for c in belief))
+    return [c.numerator * (q // c.denominator) for c in belief]
+
+
 class TestIntegerSubstitution:
     """The elimination's "uniquely best" check, integer dot products on the
     scaled payoffs, against `argmax_set` on the exact ones."""
@@ -451,7 +460,7 @@ class TestIntegerSubstitution:
                 unique += len(optimal) == 1
                 tied += len(optimal) > 1
                 for action in range(actions):
-                    assert dominance_module._uniquely_best(rows, action, belief) == (
+                    assert dominance_module._uniquely_best(rows, action, numerators(belief)) == (
                         optimal == {action}
                     )
         # small payoffs make ties common, so both answers are exercised
@@ -462,8 +471,8 @@ class TestIntegerSubstitution:
         rows = integer_payoff(problem)
         uniform = Belief.uniform(2)
         assert problem.argmax_set(uniform) == {0, 1}
-        assert not any(dominance_module._uniquely_best(rows, a, uniform) for a in range(3))
-        assert dominance_module._uniquely_best(rows, 0, Belief((F(3, 5), F(2, 5))))
+        assert not any(dominance_module._uniquely_best(rows, a, [1, 1]) for a in range(3))
+        assert dominance_module._uniquely_best(rows, 0, [3, 2])
 
     @pytest.mark.parametrize(
         "matrix",
@@ -478,7 +487,7 @@ class TestIntegerSubstitution:
     def test_corrupt_stepped_belief_raises(self, matrix, monkeypatch):
         problem = DecisionProblem.from_matrix(matrix)
         monkeypatch.setattr(
-            dominance_module, "_screened_witness", lambda rows, action: Belief.uniform(2)
+            dominance_module, "_screened_witness", lambda rows, action: ([1, 1], 2)
         )
         with pytest.raises(InternalInvariantError) as caught:
             iterated_elimination(problem)
@@ -487,8 +496,10 @@ class TestIntegerSubstitution:
     @pytest.mark.parametrize(
         "stored",
         [
-            lambda rows, action, p: Belief.uniform(2),  # action 1 loses there
-            lambda rows, action, p: p,  # a point mass is not interior
+            lambda rows, action, p: ([1, 1], 2),  # action 1 loses there
+            lambda rows, action, p: p,  # a point mass has a zero numerator
+            # numerators summing to 3 over 2, though action 0 is best at them
+            lambda rows, action, p: ([2, 1], 2) if action == 0 else ([1, 4], 5),
         ],
     )
     def test_corrupt_stored_witness_raises(self, stored, monkeypatch):
@@ -497,6 +508,95 @@ class TestIntegerSubstitution:
         with pytest.raises(InternalInvariantError) as caught:
             iterated_elimination(problem)
         assert caught.value.invariant == "post-elimination-certification"
+
+
+def reference_step(rows, action, start):
+    """The interior step in Fractions: `_interior_witness`'s formula as it
+    was computed on a `Belief` before the step moved to integer numerators."""
+    n = len(start)
+    q = math.lcm(*(c.denominator for c in start))
+    weights = [c.numerator * (q // c.denominator) for c in start]
+    at_p = [sum(w * r for w, r in zip(weights, row)) for row in rows]
+    sums = [sum(row) for row in rows]
+    epsilon = F(1, 2)
+    for at_j, sum_j in zip(at_p, sums):
+        g, d = at_p[action] - at_j, sums[action] - sum_j
+        if d < 0 < g:
+            epsilon = min(epsilon, F(g * n, 2 * (g * n - d * q)))
+    return Belief(tuple((1 - epsilon) * a + epsilon / n for a in start))
+
+
+def step_cases():
+    """2,100 seeded problems, 1-6 states by 2-8 actions, with payoffs of
+    magnitude 3, 10 or 1000; one problem in seven has its rows divided by
+    small integers."""
+    rng = SplitMix64(2357)
+    for case in range(2100):
+        states, actions = 1 + case % 6, 2 + case // 6 % 7
+        magnitude = (3, 10, 1000)[case // 42 % 3]
+        problem = random_problem(rng.next_uint64(), actions, states, magnitude)
+        if case % 7 == 3:
+            problem = DecisionProblem.from_matrix([
+                [v / (1 + rng.next_below(5)) for v in row] for row in problem.payoff
+            ])
+        yield problem
+
+
+class TestIntegerStep:
+    def test_stored_witnesses_equal_the_fraction_step(self, monkeypatch):
+        # every interior step, from every kind of start, against the
+        # Fraction reference, and every stored witness against its step
+        step, duality, solve = (dominance_module._interior_witness,
+                                dominance_module._duality_check, dominance_module.solve)
+        farkas, starts, steps = [], [], {}
+        kinds = {"point-mass": 0, "uniform": 0, "edge": 0, "farkas": 0}
+
+        def recorded_solve(system):
+            result = solve(system)
+            farkas.append(result.farkas)
+            return result
+
+        def recorded_duality(problem, action, scaled):
+            weights, point = duality(problem, action, scaled)
+            if point is not None:
+                # the start is the LP's Farkas ray, normalized
+                (ray,) = farkas
+                assert Belief.from_numerators(*starts[-1]) == Belief(
+                    tuple(lam / sum(ray) for lam in ray)
+                )
+                kinds["farkas"] += 1
+            farkas.clear()
+            return weights, point
+
+        def recorded_step(rows, action, start):
+            point = step(rows, action, start)
+            starts.append(start)
+            reference = reference_step(rows, action, Belief.from_numerators(*start))
+            assert Belief.from_numerators(*point) == reference
+            if not farkas:  # a screened start
+                nonzero = sum(w != 0 for w in start[0])
+                if nonzero == 1:
+                    kinds["point-mass"] += 1
+                elif len(set(start[0])) == 1:
+                    kinds["uniform"] += 1
+                else:
+                    assert nonzero == 2
+                    kinds["edge"] += 1
+            assert rows[action] not in steps
+            steps[rows[action]] = reference
+            return point
+
+        monkeypatch.setattr(dominance_module, "solve", recorded_solve)
+        monkeypatch.setattr(dominance_module, "_duality_check", recorded_duality)
+        monkeypatch.setattr(dominance_module, "_interior_witness", recorded_step)
+        for problem in step_cases():
+            steps.clear()
+            report = iterated_elimination(problem)
+            scaled = integer_payoff(problem)
+            for original, witness in zip(report.surviving_indices, report.witnesses):
+                expected = steps.get(scaled[original], Belief.uniform(problem.num_states))
+                assert witness == expected
+        assert min(kinds.values()) >= 60, kinds
 
 
 class TestEliminationPayoffCount:
@@ -508,19 +608,21 @@ class TestEliminationPayoffCount:
             ((F(0), F(0), F(-1)), (F(-1, 4), F(1), F(-1)), (F(-1), F(2), F(-1))),
         )
         problem = poly.discretize(9)
-        calls = {"payoff_profile": 0, "integer_payoff": 0}
-        profile, scale = DecisionProblem.payoff_profile, dominance_module.integer_payoff
+        calls = {"payoff_profile": 0, "scaled_payoff": 0}
+        profile = DecisionProblem.payoff_profile
+        scaled = DecisionProblem.__dict__["scaled_payoff"]
+        scale = scaled.func
 
         def counted_profile(self, belief):
             calls["payoff_profile"] += 1
             return profile(self, belief)
 
         def counted_scale(problem):
-            calls["integer_payoff"] += 1
+            calls["scaled_payoff"] += 1
             return scale(problem)
 
         monkeypatch.setattr(DecisionProblem, "payoff_profile", counted_profile)
-        monkeypatch.setattr(dominance_module, "integer_payoff", counted_scale)
+        monkeypatch.setattr(scaled, "func", counted_scale)
         report = iterated_elimination(problem)
-        assert calls == {"payoff_profile": 0, "integer_payoff": 1}
+        assert calls == {"payoff_profile": 0, "scaled_payoff": 1}
         assert report.removed == () and len(report.witnesses) == 9

@@ -8,10 +8,36 @@ from qccheck import (
     check_lsc,
     check_qcc,
     difference_vectors,
+    is_quasi_monotone,
     lowest_optimal_action,
     random_problem,
     relabel_for_lsc,
 )
+from qccheck.oracle import SplitMix64
+
+
+def fraction_lsc(problem, mode):
+    """The LSC check on the Fraction difference vectors: (holds, failing
+    action, failing vector)."""
+    for vector in difference_vectors(problem):
+        if not is_quasi_monotone(vector.entries, mode)[0]:
+            return False, vector.action_index, vector
+    return True, None, None
+
+
+def lsc_cases():
+    """600 seeded rational problems, 1-5 states by 1-6 actions; one in four
+    repeats a row next to itself."""
+    rng = SplitMix64(4711)
+    for case in range(600):
+        states, actions = 1 + case % 5, 1 + case // 5 % 6
+        problem = random_problem(rng.next_uint64(), actions, states, 1 + case % 4)
+        rows = [[v / (1 + rng.next_below(4)) + F(j, 7) for j, v in enumerate(row)]
+                for row in problem.payoff]
+        if case % 4 == 1:
+            at = rng.next_below(actions)
+            rows.insert(at, list(rows[at]))
+        yield DecisionProblem.from_matrix(rows)
 
 
 class TestDifferenceVectors:
@@ -59,6 +85,35 @@ class TestCheckLsc:
             )
             if check_lsc(problem, "literal").holds:
                 assert check_lsc(problem, "relaxed").holds
+
+
+class TestIntegerSigns:
+    def test_check_lsc_matches_the_fraction_check(self):
+        seen = {"holds": 0, "fails": 0, "one-state-literal": 0, "equal-rows": 0}
+        for problem in lsc_cases():
+            vectors = difference_vectors(problem)
+            seen["equal-rows"] += any(
+                a == b for a, b in zip(problem.payoff, problem.payoff[1:])
+            )
+            for mode in ("relaxed", "literal"):
+                verdict = check_lsc(problem, mode)
+                holds, action, vector = fraction_lsc(problem, mode)
+                assert (verdict.holds, verdict.failing_action) == (holds, action)
+                assert verdict.failing_vector == vector
+                if not holds:
+                    assert verdict.failing_vector == vectors[action]
+                seen["holds" if holds else "fails"] += 1
+                if problem.num_states == 1 and mode == "literal":
+                    # the zero vector of action 0 has no split in 1..n-1
+                    assert action == 0
+                    seen["one-state-literal"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_lowest_optimal_action_matches_the_fraction_columns(self):
+        for problem in lsc_cases():
+            for state in range(problem.num_states):
+                column = problem.column(state)
+                assert lowest_optimal_action(problem, state) == column.index(max(column))
 
 
 class TestRelabelForLsc:
