@@ -180,11 +180,14 @@ def _input_json(problem: DecisionProblem) -> dict:
 
 
 def _lsc_block(before: DecisionProblem, after: DecisionProblem) -> dict:
-    """Both single-crossing modes, before and after the relabeling."""
-    return {
-        label: {mode: _json(check_lsc(problem, mode)) for mode in ("relaxed", "literal")}
-        for label, problem in (("before", before), ("after_relabel", after))
-    }
+    """Both single-crossing modes, before and after the relabeling; an
+    identity relabeling returns the problem itself, whose verdicts are
+    the same."""
+    verdicts = {mode: _json(check_lsc(before, mode)) for mode in ("relaxed", "literal")}
+    if after is before:
+        return {"before": verdicts, "after_relabel": verdicts}
+    return {"before": verdicts, "after_relabel": {
+        mode: _json(check_lsc(after, mode)) for mode in ("relaxed", "literal")}}
 
 
 def _elimination_json(report: EliminationReport) -> dict:

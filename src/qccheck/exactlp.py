@@ -25,9 +25,12 @@ this criterion exact.
 `edge_point` is the one search for a belief on the point masses and edges
 of the simplex, shared by `qcc`, convexity, nesting and the elimination
 screen: the first point mass where every row holds, else the middle of the
-interval `segment_interval` finds on the first edge that has one.  It
-returns the belief's integer numerators over one denominator, which the
-elimination uses as they are; `edge_witness` wraps them in a `Belief`.
+interval `segment_interval` finds on the first edge that has one.  The
+interval's ends are unreduced (numerator, denominator) pairs, integers on
+integer rows, compared by cross-multiplication; one Fraction is built, for
+the middle.  `edge_point` returns the belief's integer numerators over one
+denominator, which the elimination and nesting use as they are;
+`edge_witness` wraps them in a `Belief`.
 The belief is re-verified by substitution on the rows, which may be
 integers: one positive scale factor leaves it unchanged, as its ends are
 roots -u / (v - u).  For two rows the search is complete.  Each state s maps to
@@ -416,7 +419,8 @@ def edge_point(
     for s, t in itertools.combinations(range(n), 2):
         interval = segment_interval(zip(columns[s], columns[t], strict))
         if interval is not None:
-            lam = (interval[0] + interval[1]) / 2
+            lo, lo_den, hi, hi_den = interval
+            lam = Fraction(lo * hi_den + hi * lo_den, 2 * lo_den * hi_den)
             p, q = lam.numerator, lam.denominator
             # (1 - lam) u + lam v at lam = p / q, times q
             if not all(_holds((q - p) * u + p * v, row_strict)
@@ -437,13 +441,13 @@ def _holds(value: Rational, strict: bool) -> bool:
 
 def segment_interval(
     constraints: Iterable[tuple[Rational, Rational, bool]]
-) -> Optional[tuple[Fraction, Fraction]]:
-    """The closure [lo, hi] of the set of lambda in [0, 1] with
-    (1 - lambda) u + lambda v > 0 (or >= 0 when not strict) for every
-    (u, v, strict), or None when that set is empty.  On integer inputs the
-    bounds stay integer pairs until the result is built."""
-    # Each bound is a root -u / slope kept as (numerator, positive
-    # denominator); two roots compare by cross-multiplication.
+) -> Optional[tuple[Rational, Rational, Rational, Rational]]:
+    """The closure [lo / lo_den, hi / hi_den] of the set of lambda in [0, 1]
+    with (1 - lambda) u + lambda v > 0 (or >= 0 when not strict) for every
+    (u, v, strict), as (lo, lo_den, hi, hi_den) with positive denominators,
+    or None when that set is empty.  Each bound is 0 / 1, 1 / 1 or a root
+    -u / (v - u), kept unreduced: integers on integer inputs, and compared
+    by cross-multiplication."""
     lo, lo_den, lo_open, hi, hi_den, hi_open = 0, 1, False, 1, 1, False
     for u, v, strict in constraints:
         slope = v - u
@@ -461,7 +465,7 @@ def segment_interval(
                 hi, hi_den, hi_open = u, -slope, strict
     gap = hi * lo_den - lo * hi_den
     if gap > 0 or (gap == 0 and not lo_open and not hi_open):
-        return Fraction(lo, lo_den), Fraction(hi, hi_den)
+        return lo, lo_den, hi, hi_den
     return None
 
 

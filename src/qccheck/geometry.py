@@ -17,21 +17,28 @@ below i0 can have one.  Each pair from i0 on is searched for a gap on the
 point masses and edges of the simplex first (`exactlp.edge_witness`), and
 an exact LP is solved only for a pair where no point mass or edge has one.
 The nesting questions are two-row systems, decided in the plane with no LP.
-The edge search and nesting read the payoffs scaled once to integers
-(`problems.integer_payoff`): a belief comes from `exactlp.edge_witness`,
-and in nesting "no belief" rests on a verified Motzkin (alpha, beta) from
-`exactlp.motzkin_certificate`.  Every reported failure belief is
-re-verified by substitution on the exact payoffs.
+The m - 2 chain questions are asked first, and a chain of holding links
+answers every region question above it by transitivity (see
+`check_nesting`), so on a problem whose chain holds no region question is
+asked.  The edge search and nesting read the payoffs scaled once to
+integers (`problems.integer_payoff`): a belief comes from
+`exactlp.edge_witness`, or in nesting from `exactlp.edge_point`'s
+numerators, and in nesting "no belief" rests on a verified Motzkin
+(alpha, beta) from `exactlp.motzkin_certificate`.  Every reported failure
+belief is re-verified by substitution: a convexity gap on the exact
+payoffs, a nesting belief by integer dot products of its numerators with
+the scaled rows, before its `Belief` is built.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, edge_witness, motzkin_certificate, solve
+from .exactlp import LinearSystem, edge_point, edge_witness, motzkin_certificate, solve
 from .problems import Belief, DecisionProblem, integer_payoff
 from .qcc import QccVerdict
 
@@ -159,16 +166,29 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
     dominance certification and the whole-simplex unimodality check; the
     operation also runs on anything else, as a diagnostic of how the
     structure breaks.
+
+    The m - 2 chain questions are asked first, and they answer every region
+    question (i, j) whose chain links i, ..., j - 2 all hold: at a belief
+    with u_i > u_{i+1}, link i gives u_{i+1} > u_{i+2}, link i + 1 gives
+    u_{i+2} > u_{i+3}, and so on up to u_{j-1} > u_j, so u_i > u_j.  Each
+    holding link rests on a verified Motzkin certificate, so the region
+    question is settled with no belief to find.  Only a pair (i, j) with a
+    failing link k, i <= k <= j - 2, is asked, in (i, j) order.
     """
     scaled = integer_payoff(problem)
+    m = problem.num_actions
     chain_failures = []
-    region_failures = []
-    for i in range(problem.num_actions - 2):
-        belief = _beats_without(problem, scaled, (i, i + 1), (i + 1, i + 2), "nesting-chain")
+    for i in range(m - 2):
+        belief = _beats_without(scaled, (i, i + 1), (i + 1, i + 2), "nesting-chain")
         if belief is not None:
             chain_failures.append(NestingFailure(i, belief))
-        for j in range(i + 2, problem.num_actions):
-            belief = _beats_without(problem, scaled, (i, i + 1), (i, j), "nesting-region")
+    failing = [failure.index for failure in chain_failures]
+    region_failures = []
+    for i in range(m - 2):
+        # the lowest failing link at or above i; the pairs below it are settled
+        k = next((k for k in failing if k >= i), m)
+        for j in range(k + 2, m):
+            belief = _beats_without(scaled, (i, i + 1), (i, j), "nesting-region")
             if belief is not None:
                 region_failures.append(RegionFailure(i, j, belief))
 
@@ -181,7 +201,6 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
 
 
 def _beats_without(
-    problem: DecisionProblem,
     scaled: Sequence[Sequence[int]],
     positive: tuple[int, int],
     nonpositive: tuple[int, int],
@@ -189,22 +208,23 @@ def _beats_without(
 ) -> Optional[Belief]:
     """A belief where u_p - u_q > 0 for (p, q) = `positive` and
     u_r - u_s <= 0 for (r, s) = `nonpositive`, decided on the integer payoffs
-    `scaled` and re-verified by substitution on the exact ones, or None when
-    the simplex has no such belief, which a verified Motzkin certificate
-    backs."""
+    `scaled` and re-verified by substitution of its numerators into rows
+    p, q, r and s, or None when the simplex has no such belief, which a
+    verified Motzkin certificate backs."""
     (p, q), (r, s) = positive, nonpositive
     points = [(up - uq, us - ur)
               for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
-    belief = edge_witness(points, (True, False))
-    if belief is None:
+    point = edge_point(points, (True, False))
+    if point is None:
         motzkin_certificate(points)
         return None
-    value = problem.expected_payoff
-    pos, neg = value(p, belief) - value(q, belief), value(r, belief) - value(s, belief)
+    weights, denominator = point
+    value = [sum(map(operator.mul, weights, scaled[a])) for a in (p, q, r, s)]
+    pos, neg = value[0] - value[1], value[2] - value[3]
     if not (pos > 0 and neg <= 0):
         raise InternalInvariantError(
             invariant,
-            f"belief {belief.coordinates} fails substitution: {pos} > 0 and "
-            f"{neg} <= 0 expected",
+            f"numerators {weights} over {denominator} fail substitution: "
+            f"{pos} > 0 and {neg} <= 0 expected",
         )
-    return belief
+    return Belief.from_numerators(weights, denominator)

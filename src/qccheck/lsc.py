@@ -115,7 +115,8 @@ def relabel_for_lsc(problem: DecisionProblem) -> tuple[Relabeling, DecisionProbl
     The sort is stable on the original state index, so tie handling is
     deterministic; applying the operation to its own output therefore yields
     the identity permutation.  Returns the relabeling and the relabeled
-    problem.
+    problem, which is the problem itself when the permutation is the
+    identity.
     """
     keys = [lowest_optimal_action(problem, j) for j in range(problem.num_states)]
     permutation = tuple(sorted(range(problem.num_states), key=keys.__getitem__))

@@ -14,6 +14,14 @@ decide on these integers, and on beliefs kept as integer numerators over one
 denominator; a `Belief` of Fractions is built (`Belief.from_numerators`)
 only for what a report prints.
 
+The public constructors validate and coerce every field.  What is derived
+from a validated object is not validated again: `restrict_actions` and
+`permute_states` build their result from the parent's Fractions, return the
+problem itself when every action is kept or the permutation is the
+identity, and `permute_states` hands the permuted scaled matrix over, as
+the same entries keep the same common denominator.
+`Belief.from_numerators` checks the simplex conditions on its integers.
+
 The module also provides the elementary sequence predicates the rest of the
 toolkit is built from: unimodality (no strict interior dip), quasi-monotone
 sign patterns, and contiguity of index sets.
@@ -68,8 +76,23 @@ class Belief:
 
     @classmethod
     def from_numerators(cls, numerators: Sequence[int], denominator: int) -> "Belief":
-        """The belief with coordinates numerators[s] / denominator."""
-        return cls(tuple(Fraction(w, denominator) for w in numerators))
+        """The belief with coordinates numerators[s] / denominator.
+
+        The simplex conditions are checked on the integers: a positive
+        denominator, and nonnegative numerators that sum to it.  The
+        coordinates then need no coercion and no Fraction re-sum.
+        """
+        if (not numerators or denominator <= 0 or any(w < 0 for w in numerators)
+                or sum(numerators) != denominator):
+            raise ValueError(
+                f"numerators {list(numerators)} over {denominator} are not a belief: "
+                "they must be nonnegative, at least one, and sum to a positive denominator"
+            )
+        belief = object.__new__(cls)
+        object.__setattr__(
+            belief, "coordinates", tuple(Fraction(w, denominator) for w in numerators)
+        )
+        return belief
 
     @classmethod
     def uniform(cls, dimension: int) -> "Belief":
@@ -217,13 +240,16 @@ class DecisionProblem:
         return frozenset(i for i, v in enumerate(values) if v == best)
 
     def restrict_actions(self, indices: Sequence[int]) -> "DecisionProblem":
-        """Sub-problem keeping only the given action indices (in sorted order)."""
+        """Sub-problem keeping only the given action indices (in sorted order);
+        the problem itself when every action is kept."""
         kept = sorted(set(indices))
         if not kept:
             raise ValueError("cannot restrict to an empty action set")
         for i in kept:
             self._check_action(i)
-        return DecisionProblem(
+        if len(kept) == self.num_actions:
+            return self
+        return self._derived(
             tuple(self.actions[i] for i in kept),
             self.states,
             tuple(self.payoff[i] for i in kept),
@@ -231,14 +257,40 @@ class DecisionProblem:
 
     def permute_states(self, permutation: Sequence[int]) -> "DecisionProblem":
         """Problem with state columns reordered: new column m is old column
-        permutation[m]."""
+        permutation[m]; the problem itself for the identity.  The same
+        entries keep the same common denominator, so the scaled matrix is
+        permuted rather than computed again."""
         if sorted(permutation) != list(range(self.num_states)):
             raise ValueError(f"not a permutation of 0..{self.num_states - 1}: {permutation}")
-        return DecisionProblem(
+        if all(j == m for m, j in enumerate(permutation)):
+            return self
+        return self._derived(
             self.actions,
             tuple(self.states[j] for j in permutation),
             tuple(tuple(row[j] for j in permutation) for row in self.payoff),
+            tuple(tuple(row[j] for j in permutation) for row in self.scaled_payoff),
         )
+
+    @classmethod
+    def _derived(
+        cls,
+        actions: tuple[Fraction, ...],
+        states: tuple[str, ...],
+        payoff: tuple[tuple[Fraction, ...], ...],
+        scaled: Optional[tuple[tuple[int, ...], ...]] = None,
+    ) -> "DecisionProblem":
+        """A problem made from parts of a validated one, whose invariants
+        (Fraction entries, increasing labels, matching shapes) carry over:
+        selecting rows in order or permuting every row's columns breaks
+        none of them, so `__post_init__` is not run again.  `scaled`, when
+        given, is the new payoff's scaled matrix, stored as the cache."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "actions", actions)
+        object.__setattr__(problem, "states", states)
+        object.__setattr__(problem, "payoff", payoff)
+        if scaled is not None:
+            problem.__dict__["scaled_payoff"] = scaled
+        return problem
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,16 @@ def _edge_sweep(scaled: Sequence[Sequence[int]]) -> bool:
 
 def _edge_split(
     ends: Sequence[tuple[int, int]], j: int
-) -> Optional[tuple[Fraction, bool]]:
+) -> Optional[tuple[tuple[int, int], bool]]:
     """A split lam* of the edge for action j, or None when the edge has a dip
     at j.  `ends[a]` is action a's payoff at the edge's two ends.
 
     L and R are the closed intervals where no earlier, respectively no later,
-    action beats j.  The split comes with whether the earlier actions take
-    the left side [0, lam*] and the later ones the right side [lam*, 1], or
-    the other way round; lam* = 1 means the left group is never better than j.
+    action beats j, with `segment_interval`'s integer ends.  The split is
+    lam* as (numerator, positive denominator), with whether the earlier
+    actions take the left side [0, lam*] and the later ones the right side
+    [lam*, 1], or the other way round; lam* = 1 means the left group is
+    never better than j.
     """
     u_j, v_j = ends[j]
 
@@ -143,31 +145,32 @@ def _edge_split(
     for left, right, earlier_left in ((earlier, later, True), (later, earlier, False)):
         if left is None or left[0] != 0:
             continue
-        split = left[1]
-        if split == 1 or (right is not None and right[0] <= split and right[1] == 1):
-            return split, earlier_left
+        _, _, p, q = left
+        if p == q or (right is not None and right[0] * q <= p * right[1]
+                      and right[2] == right[3]):
+            return (p, q), earlier_left
     return None
 
 
 def _verify_split(
-    ends: Sequence[tuple[int, int]], j: int, split: Fraction, earlier_left: bool
+    ends: Sequence[tuple[int, int]], j: int, split: tuple[int, int], earlier_left: bool
 ) -> None:
     """Check by substitution that no action of the left group beats j on
-    [0, split] and none of the right group on [split, 1].  The payoffs are
-    linear in lam, so the ends of each side are enough; a side of length 0
-    is covered by the other."""
+    [0, split] and none of the right group on [split, 1], with the split
+    lam* = p / q given as (p, q), q > 0.  The payoffs are linear in lam, so
+    the ends of each side are enough; a side of length 0 is covered by the
+    other."""
     earlier, later = ends[:j], ends[j + 1:]
     left, right = (earlier, later) if earlier_left else (later, earlier)
     u_j, v_j = ends[j]
-    for group, lo, hi in ((left, Fraction(0), split), (right, split, Fraction(1))):
-        if lo == hi:
+    for group, lo, hi in ((left, (0, 1), split), (right, split, (1, 1))):
+        if lo[0] * hi[1] == hi[0] * lo[1]:
             continue
-        for end in (lo, hi):
-            p, q = end.numerator, end.denominator
-            # (1 - lam) (u - u_j) + lam (v - v_j) at lam = p / q, times q
-            if any((q - p) * (u - u_j) + p * (v - v_j) > 0 for u, v in group):
+        for a, b in (lo, hi):
+            # (1 - lam) (u - u_j) + lam (v - v_j) at lam = a / b, times b
+            if any((b - a) * (u - u_j) + a * (v - v_j) > 0 for u, v in group):
                 raise InternalInvariantError(
                     "qcc-edge-split",
-                    f"an action beats {j} at lam = {end} on the side "
-                    f"[{lo}, {hi}] of split {split}",
+                    f"an action beats {j} at lam = {Fraction(a, b)} on the side "
+                    f"[{Fraction(*lo)}, {Fraction(*hi)}] of split {Fraction(*split)}",
                 )

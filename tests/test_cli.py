@@ -26,6 +26,7 @@ from qccheck import (
     SplitMix64,
     check_argmax_convexity,
     check_lsc,
+    check_nesting,
     check_qcc,
     find_grid_gap,
     iterated_elimination,
@@ -737,8 +738,9 @@ class TestPinnedOutput:
 
 class TestLadderWork:
     """A work guard on the benchmark's seed-1 `ladder` inputs, where every
-    check holds: payoffs are scaled once per problem object, and Fractions
-    are built only for what the report prints."""
+    check holds: payoffs are scaled once per problem, Fractions are built
+    only for what the report prints, and the nesting chain answers every
+    region question."""
 
     def test_payoffs_scaled_once_per_problem(self, monkeypatch):
         scaled = DecisionProblem.__dict__["scaled_payoff"]
@@ -752,12 +754,12 @@ class TestLadderWork:
         for problem in _ladder_problems():
             problems.clear()
             analyze_problem(problem, 20)
-            # the input, the survivors and the relabeled survivors
-            assert len({id(p) for p in problems}) == len(problems) <= 3
-            assert problems[0] is problem
+            # every action survives and the relabeling is the identity, so
+            # the survivors and the relabeled survivors are the input itself
+            assert problems == [problem]
 
     def test_fractions_only_for_the_report(self, monkeypatch):
-        built = {"Belief": 0, "DifferenceVector": 0}
+        built = {"Belief": 0, "from_numerators": 0, "DifferenceVector": 0}
 
         def counted(cls):
             post_init = cls.__post_init__
@@ -769,16 +771,41 @@ class TestLadderWork:
 
         for cls in (Belief, DifferenceVector):
             monkeypatch.setattr(cls, "__post_init__", counted(cls))
+        from_numerators = Belief.from_numerators.__func__
+
+        def counted_numerators(cls, numerators, denominator):
+            built["from_numerators"] += 1
+            return from_numerators(cls, numerators, denominator)
+
+        monkeypatch.setattr(Belief, "from_numerators", classmethod(counted_numerators))
         for problem in _ladder_problems():
-            built.update(Belief=0, DifferenceVector=0)
+            built.update(Belief=0, from_numerators=0, DifferenceVector=0)
             report = iterated_elimination(problem)
             assert report.removed == ()
-            assert built == {"Belief": problem.num_actions, "DifferenceVector": 0}
+            # one Belief per survivor, built from its integer numerators
+            assert built == {"Belief": 0, "from_numerators": problem.num_actions,
+                             "DifferenceVector": 0}
             _, relabeled = relabel_for_lsc(report.surviving)
             for mode in ("relaxed", "literal"):
                 for checked in (report.surviving, relabeled):
                     assert check_lsc(checked, mode).holds
             assert built["DifferenceVector"] == 0
+
+    def test_nesting_asks_only_the_chain(self, monkeypatch):
+        # every link holds, so the m - 2 chain questions settle all the
+        # region questions: 78 planar questions a round, where asking every
+        # question took 431
+        calls, beats_without = [], geometry_module._beats_without
+        monkeypatch.setattr(geometry_module, "_beats_without",
+                            lambda *args: calls.append(args) or beats_without(*args))
+        total = 0
+        for problem in _ladder_problems():
+            calls.clear()
+            report = check_nesting(problem)
+            assert report.chain_holds and report.region_identification_holds
+            assert len(calls) == problem.num_actions - 2
+            total += len(calls)
+        assert total == 78
 
 
 def _bench_tracing():

@@ -302,9 +302,10 @@ class TestPlanarFeasible:
     def test_feasible_set_of_one_closed_point(self):
         # x1 - x2 > 0 and -x2 >= 0 hold only at the point mass on state 0
         assert _decide(_points([1, 1], [0, -1]), False).coordinates == (F(1), F(0))
-        # a segment whose two weak constraints leave the single lam = 1/2
+        # a segment whose two weak constraints leave the single lam = 1/2,
+        # given as (lo, lo_den, hi, hi_den)
         constraints = ((F(1), F(-1), False), (F(-1), F(1), False))
-        assert exactlp.segment_interval(constraints) == (F(1, 2), F(1, 2))
+        assert exactlp.segment_interval(constraints) == (1, 2, 1, 2)
         strict = ((F(1), F(-1), True), (F(-1), F(1), False))
         assert exactlp.segment_interval(strict) is None
         # the strict row opens the low end at 1/2; a weak row with the same
@@ -324,7 +325,7 @@ class TestPlanarFeasible:
     def test_corrupted_witness_raises(self, monkeypatch):
         # lam = 2/3 gives (1/3, 2/3), on the feasible segment's closure but
         # making the first row zero
-        monkeypatch.setattr(exactlp, "segment_interval", lambda constraints: (F(2, 3), F(2, 3)))
+        monkeypatch.setattr(exactlp, "segment_interval", lambda constraints: (2, 3, 2, 3))
         with pytest.raises(InternalInvariantError, match="lp-witness-substitution"):
             exactlp.edge_witness(_points([2, -1], [-1, 2]), (True, True))
 
@@ -395,11 +396,16 @@ class TestSegmentInterval:
         for case in range(3200):
             constraints = seeded_constraints(rng, case)
             found = exactlp.segment_interval(iter(constraints))
+            if found is not None:
+                lo, lo_den, hi, hi_den = found
+                assert lo_den > 0 and hi_den > 0
+                if case % 2 == 0:
+                    assert all(type(x) is int for x in found)
+                found = F(lo, lo_den), F(hi, hi_den)
             assert found == reference_interval(constraints), constraints
             if found is None:
                 seen["empty"] += 1
             else:
-                assert all(type(end) is F for end in found)
                 seen["point"] += found[0] == found[1]
             seen["flat"] += any(u == v for u, v, _ in constraints)
             # a strict rising row, then a weak one through the same root

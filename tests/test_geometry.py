@@ -9,8 +9,10 @@ import qccheck.exactlp as exactlp
 import qccheck.geometry as geometry
 from qccheck import (
     DecisionProblem,
+    InternalInvariantError,
     LinearSystem,
     PolynomialProblem,
+    SplitMix64,
     check_argmax_convexity,
     check_nesting,
     check_qcc,
@@ -19,6 +21,8 @@ from qccheck import (
     random_problem,
     strict_feasible,
 )
+from qccheck.geometry import NestingFailure, NestingReport, RegionFailure
+from qccheck.problems import integer_payoff
 
 
 def _triple_gap(problem, i, j, k):
@@ -330,6 +334,118 @@ class TestNesting:
                 coords = failure.belief.coordinates
                 assert sum(c * p for c, p in zip(adjacent, coords)) > 0
                 assert sum(c * p for c, p in zip(comparison, coords)) <= 0
+
+
+def reference_nesting(problem):
+    """Every chain and every region question, each decided by `edge_witness`
+    or a verified Motzkin certificate and re-verified on the exact payoffs:
+    the all-questions loop, the reference for the region questions that
+    `check_nesting` leaves to the chain."""
+    scaled = integer_payoff(problem)
+
+    def beats_without(p, q, r, s):
+        points = [(up - uq, us - ur)
+                  for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
+        belief = exactlp.edge_witness(points, (True, False))
+        if belief is None:
+            exactlp.motzkin_certificate(points)
+            return None
+        value = problem.expected_payoff
+        assert value(p, belief) > value(q, belief) and value(r, belief) <= value(s, belief)
+        return belief
+
+    chain, region = [], []
+    for i in range(problem.num_actions - 2):
+        belief = beats_without(i, i + 1, i + 1, i + 2)
+        if belief is not None:
+            chain.append(NestingFailure(i, belief))
+        for j in range(i + 2, problem.num_actions):
+            belief = beats_without(i, i + 1, i, j)
+            if belief is not None:
+                region.append(RegionFailure(i, j, belief))
+    return NestingReport(not chain, tuple(chain), not region, tuple(region))
+
+
+def _valley(rng, actions, states, k):
+    """Every state column falls strictly down to action k + 1 and rises
+    strictly after it, so at every belief u_k > u_{k+1} <= u_{k+2}, and u_i
+    > u_{i+1} holds only for i <= k: chain link k alone fails."""
+    columns = []
+    for _ in range(states):
+        column = [rng.next_int(-3, 3)]
+        for i in range(1, actions):
+            step = rng.next_int(1, 4)
+            column.append(column[-1] - step if i <= k + 1 else column[-1] + step)
+        columns.append(column)
+    return DecisionProblem.from_matrix([list(row) for row in zip(*columns)])
+
+
+def _nesting_problems():
+    """1,200 seeded problems with 2-8 actions and 1-6 states: integer
+    payoffs of magnitude 3, 10 and 1000 with one in seven made rational,
+    `discretize` output of random linear, quadratic and cubic polynomials,
+    and problems whose chain fails at exactly one link k, for every link of
+    3-8 actions."""
+    rng = SplitMix64(24)
+    for n in range(840):
+        m, states, magnitude = 2 + n % 7, 1 + n // 7 % 6, (3, 10, 1000)[n // 42 % 3]
+        problem = random_problem(12000 + n, m, states, magnitude)
+        if n % 7 == 3:
+            problem = DecisionProblem.from_matrix(
+                [[v / (2 + j) + F(i, 5) for j, v in enumerate(row)]
+                 for i, row in enumerate(problem.payoff)]
+            )
+        yield problem
+    for n in range(180):
+        states = 1 + n % 4
+        coefficients = [[rng.next_int(-4, 4) for _ in range(2 + n % 3)] for _ in range(states)]
+        yield _polynomial(*coefficients).discretize(2 + n % 7)
+    for n in range(180):
+        m = 3 + n % 6
+        yield _valley(rng, m, 1 + n // 6 % 6, n // 36 % (m - 2))
+
+
+class TestNestingChainSettlesRegions:
+    def test_equals_the_all_questions_reference(self):
+        seen = {"chain_holds": 0, "some_links_fail": 0, "region_failures": 0,
+                "one_failing_link": set()}
+        for problem in _nesting_problems():
+            report = check_nesting(problem)
+            assert report == reference_nesting(problem)
+            links, failing = problem.num_actions - 2, len(report.chain_failures)
+            seen["chain_holds"] += links > 0 and report.chain_holds
+            # some region questions are settled and some are asked
+            seen["some_links_fail"] += 0 < failing < links
+            seen["region_failures"] += len(report.region_failures)
+            if failing == 1:
+                seen["one_failing_link"].add(
+                    (problem.num_actions, report.chain_failures[0].index))
+        assert seen["chain_holds"] > 100 and seen["some_links_fail"] > 400
+        assert seen["region_failures"] > 4000
+        # every link k of every action count from 3 to 8
+        assert seen["one_failing_link"] >= {(m, k) for m in range(3, 9) for k in range(m - 2)}
+
+    def test_substituted_chain_belief_raises(self, p1, monkeypatch):
+        # the point mass on state 0 has u_0 > u_1 but also u_1 > u_2
+        monkeypatch.setattr(geometry, "edge_point", lambda columns, strict: ([1, 0], 1))
+        with pytest.raises(InternalInvariantError) as raised:
+            check_nesting(p1)
+        assert raised.value.invariant == "nesting-chain"
+
+    def test_substituted_region_belief_raises(self, p2, monkeypatch):
+        # link 0 fails with its true belief, so the region question (0, 2)
+        # is asked; the point mass on state 1 has u_0 < u_1 there
+        calls, edge_point = [], geometry.edge_point
+
+        def corrupted(columns, strict):
+            calls.append(columns)
+            return edge_point(columns, strict) if len(calls) == 1 else ([0, 1], 1)
+
+        monkeypatch.setattr(geometry, "edge_point", corrupted)
+        with pytest.raises(InternalInvariantError) as raised:
+            check_nesting(p2)
+        assert raised.value.invariant == "nesting-region"
+        assert len(calls) == 2
 
 
 class TestEquivalenceTheorem:

@@ -15,9 +15,11 @@ from qccheck import (
     DecisionProblem,
     DifferenceVector,
     PolynomialProblem,
+    SplitMix64,
     is_contiguous,
     is_quasi_monotone,
     is_unimodal,
+    random_problem,
 )
 
 
@@ -39,6 +41,94 @@ class TestBelief:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Belief((0.5, 0.5))
+
+
+class TestBeliefFromNumerators:
+    def test_equals_the_validated_belief(self):
+        for numerators, denominator in [([1], 1), ([0, 3, 1], 4), ([2, 4, 0, 6], 12)]:
+            belief = Belief.from_numerators(numerators, denominator)
+            assert belief == Belief(tuple(F(w, denominator) for w in numerators))
+            assert all(type(c) is F for c in belief.coordinates)
+
+    @pytest.mark.parametrize(
+        "numerators, denominator",
+        [([2, -1], 1), ([1, 1], 3), ([0, 0], 0), ([1, 0], 0), ([-1, 0], -1), ([], 1),
+         ([], 0)],
+        ids=["negative", "wrong-sum", "zero-sum-zero-denominator", "zero-denominator",
+             "negative-denominator", "empty", "empty-zero-denominator"],
+    )
+    def test_rejects_a_point_off_the_simplex(self, numerators, denominator):
+        with pytest.raises(ValueError):
+            Belief.from_numerators(numerators, denominator)
+
+
+def _derived_cases():
+    """Seeded problems with rational payoffs and rational action labels,
+    each with a proper subset of its actions and a permutation of its
+    states that is not the identity (when it has two or more)."""
+    rng = SplitMix64(2024)
+    for seed in range(150):
+        m, n = 1 + seed % 6, 1 + seed // 6 % 5
+        raw = random_problem(5000 + seed, m, n, 1000)
+        problem = DecisionProblem(
+            tuple(F(i, 1 + seed % 4) for i in range(m)),
+            tuple(f"t{j}" for j in range(n)),
+            tuple(tuple(v / (1 + (i + j) % 7) for j, v in enumerate(row))
+                  for i, row in enumerate(raw.payoff)),
+        )
+        kept = [i for i in range(m) if rng.next_below(3)] or [rng.next_below(m)]
+        if len(kept) == m:
+            del kept[rng.next_below(m)]
+        order = sorted(range(n), key=lambda j: rng.next_below(1000))
+        if n > 1 and order == list(range(n)):
+            order = order[1:] + order[:1]
+        yield problem, kept, order
+
+
+class TestDerivedProblems:
+    """`restrict_actions` and `permute_states` skip re-validation: their
+    results must equal a validated construction of the same fields."""
+
+    def test_equal_to_the_validated_problem(self):
+        checked = 0
+        for problem, kept, order in _derived_cases():
+            derived = [problem.permute_states(order)]
+            if kept:
+                derived.append(problem.restrict_actions(kept))
+            for result in derived:
+                validated = DecisionProblem(result.actions, result.states, result.payoff)
+                assert result == validated and hash(result) == hash(validated)
+                assert all(type(v) is F for row in result.payoff for v in row)
+                assert all(type(a) is F for a in result.actions)
+                assert all(type(s) is str for s in result.states)
+                checked += 1
+        assert checked > 250
+
+    def test_handed_over_scaling_equals_a_fresh_one(self):
+        permuted_states = 0
+        for problem, _, order in _derived_cases():
+            permuted = problem.permute_states(order)
+            # handed over with the permuted problem, not computed on first read
+            assert permuted is problem or "scaled_payoff" in vars(permuted)
+            fresh = DecisionProblem(permuted.actions, permuted.states, permuted.payoff)
+            assert permuted.scaled_payoff == fresh.scaled_payoff
+            permuted_states += permuted is not problem
+        assert permuted_states > 100
+
+    def test_identity_returns_the_problem(self):
+        for problem, _, _ in _derived_cases():
+            m, n = problem.num_actions, problem.num_states
+            assert problem.permute_states(list(range(n))) is problem
+            assert problem.restrict_actions(range(m)) is problem
+            assert problem.restrict_actions([*reversed(range(m)), 0]) is problem
+
+    def test_derived_arguments_are_still_checked(self, p1):
+        with pytest.raises(ValueError):
+            p1.permute_states([0, 0])
+        with pytest.raises(IndexError):
+            p1.restrict_actions([0, 3])
+        with pytest.raises(ValueError):
+            p1.restrict_actions([])
 
 
 class TestDecisionProblem:

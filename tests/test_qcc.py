@@ -191,14 +191,16 @@ class TestEdgeSweep:
     def test_split_of_a_holding_edge(self, matrix, split):
         problem = DecisionProblem.from_matrix(matrix)
         ends = [(row[0], row[1]) for row in integer_payoff(problem)]
-        assert qcc_module._edge_split(ends, 1) == split
+        (p, q), earlier_left = qcc_module._edge_split(ends, 1)
+        assert all(type(x) is int for x in (p, q)) and q > 0
+        assert (F(p, q), earlier_left) == split
         assert check_qcc(problem).holds
 
     @pytest.mark.parametrize("corrupt", [F(1), F(0), F(1, 5), F(5, 4)])
     def test_corrupted_split_raises(self, p1, corrupt, monkeypatch):
-        split = qcc_module._edge_split
+        split, pair = qcc_module._edge_split, (corrupt.numerator, corrupt.denominator)
         monkeypatch.setattr(
-            qcc_module, "_edge_split", lambda ends, j: (corrupt, split(ends, j)[1])
+            qcc_module, "_edge_split", lambda ends, j: (pair, split(ends, j)[1])
         )
         with pytest.raises(InternalInvariantError) as raised:
             check_qcc(p1)
@@ -210,11 +212,11 @@ class TestEdgeSweep:
         # uncorrupted; only the scan's three-action sweeps get the bad split
         problem = DecisionProblem.from_matrix(SCAN_MATRIX)
         assert check_qcc(problem).counterexample.triple == (0, 2, 3)
-        split = qcc_module._edge_split
+        split, pair = qcc_module._edge_split, (corrupt.numerator, corrupt.denominator)
 
         def corrupted(ends, j):
             found = split(ends, j)
-            return (corrupt, found[1]) if len(ends) == 3 and found is not None else found
+            return (pair, found[1]) if len(ends) == 3 and found is not None else found
 
         monkeypatch.setattr(qcc_module, "_edge_split", corrupted)
         with pytest.raises(InternalInvariantError) as raised:
