@@ -400,8 +400,10 @@ def _harness_record(problem: DecisionProblem, grid: int) -> dict:
         relabeling, relabeled = relabel_for_lsc(surviving)
         relaxed = check_lsc(relabeled, "relaxed")
         literal = check_lsc(relabeled, "literal")
-        again, _ = relabel_for_lsc(relabeled)
-    idempotent = again.permutation == tuple(range(relabeled.num_states))
+        # an identity relabel returns the survivors themselves, and
+        # relabeling them again is the same identity
+        idempotent = relabeled is surviving or (
+            relabel_for_lsc(relabeled)[0].permutation == tuple(range(relabeled.num_states)))
 
     record = {
         "actions": problem.num_actions,

@@ -14,7 +14,7 @@ Three oracles back-stop the exact feasibility checks:
   can vanish on each block, and reads the leaves at their parent.  On a
   leaf each pair's ties lie on one line in the last three coordinates; one
   residue modulo the line's gcd and step rejects nearly every line with no
-  integer point in the leaf, and the rest are listed in closed form;
+  integer point in the leaf, and the rest are listed by striding along it;
 * a complete breakpoint oracle for two-state problems, where expected
   payoffs are affine in a single coordinate and the weak order of the
   actions is constant between consecutive pairwise indifference points, so
@@ -170,25 +170,19 @@ def _block_ties(
 ) -> list[tuple[int, int]]:
     """The integer points (a, b) of the line c + coef*u + step*w = 0 of
     `solver` with a, b >= 0, a + b <= rest, a <= tops[0] and b <= tops[1],
-    in O(1 + #points), given its least u >= 0, u0.  With g = 0 (the caller
-    has checked that c0 = 0) every point of the block is on it."""
+    given its least u >= 0, u0: u strides from u0 by step up to u-top.
+    With g = 0 (the caller has checked that c0 = 0) every point of the
+    block is on it."""
     sign, g, step, coef, inverse, swap = solver
     if not g:
         return [(a, b) for a in range(tops[0] + 1) for b in range(min(tops[1], rest - a) + 1)]
     u_top, w_top = tops[::-1] if swap else tops
-    w0 = -(c + u0 * coef) // step
-    # t >= 0 keeps u >= 0; each (k, r) below is the constraint k*t <= r:
-    # w >= 0, w <= w_top and u + w <= rest
-    lo, hi = 0, (u_top - u0) // step
-    for k, r in ((coef, w0), (-coef, w_top - w0), (step - coef, rest - u0 - w0)):
-        if k > 0:
-            hi = min(hi, r // k)
-        elif k < 0:
-            lo = max(lo, -(r // -k))
-        elif r < 0:
-            return []
-    points = [(u0 + step * t, w0 - coef * t) for t in range(lo, hi + 1)]
-    return [(a, b) for b, a in points] if swap else points
+    points = []
+    for u in range(u0, u_top + 1, step):
+        w = -(c + u * coef) // step
+        if 0 <= w <= w_top and u + w <= rest:
+            points.append((w, u) if swap else (u, w))
+    return points
 
 
 def _suffix_extremes(columns: list, pick) -> list[list[int]]:
@@ -211,10 +205,7 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
     over their first n - 3 parts, in lexicographic order, with an explicit
     stack.  A block that fixes those parts and leaves `rest` units keeps
     the pairs of its parent block whose d takes 0 on it: d's range there is
-    exactly d.prefix + rest*[min, max] of d over the states left.  A block
-    with more live pairs than actions first drops each pair with an action
-    that stays below, on all of the block, the action whose least payoff
-    there is the highest: such a pair never ties at the maximum there.
+    exactly d.prefix + rest*[min, max] of d over the states left.
 
     The leaves, which fix all of the first n - 3 parts, are read at their
     parent, in order, child x[n - 4] = v after child, and are never pushed.
@@ -223,27 +214,22 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
     nearly every pair in O(1): the line has no lattice point with u in
     [0, u-top] when g does not divide its constant or when its least u >= 0
     is above u-top.  Of the pairs left, those whose d keeps one sign on the
-    leaf are dropped, and `_block_ties` lists the ties of the rest in
-    O(1 + #points).  Fewer than four states pad the front with parts held
-    at 0."""
+    leaf are dropped, and `_block_ties` lists the ties of the rest.  Fewer
+    than four states pad the front with parts held at 0."""
     if spec.dimension != problem.num_states:
         raise ValueError("grid dimension does not match the state count")
     rows = integer_payoff(problem)
-    m = len(rows)
-    pairs = [(i, k) for i, k in combinations(range(m), 2) if k > i + 1]
+    pairs = [(i, k) for i, k in combinations(range(len(rows)), 2) if k > i + 1]
     if not pairs:
         return None
     diffs = [[a - b for a, b in zip(rows[i], rows[k])] for i, k in pairs]
     pad = max(4 - spec.dimension, 0)
     depth = spec.dimension + pad - 3
-    # Over states t..n-1: the min and max of each pair's d (lows[t],
-    # highs[t]), each action's least payoff (floors[t]), and by how much at
-    # most action i beats action j (above[t][j*m + i]).  With pad > 0 the
-    # root is the only block, so t = 0 there also counts the padded parts.
-    columns, payoffs = list(zip(*diffs)), list(zip(*rows))
+    # The min and max of each pair's d over states t..n-1 (lows[t],
+    # highs[t]).  With pad > 0 the root is the only block, so t = 0 there
+    # also counts the padded parts.
+    columns = list(zip(*diffs))
     lows, highs = _suffix_extremes(columns, min), _suffix_extremes(columns, max)
-    floors = _suffix_extremes(payoffs, min)
-    above = _suffix_extremes([[u - w for w in us for u in us] for us in payoffs], max)
     columns = [(0,) * len(pairs)] * pad + columns
     # On a leaf's last three parts (a, b, left - a - b) pair p's d is
     # c0 + a*alpha + b*beta, where c0 = d.x at a = b = 0.  a and b are free
@@ -263,15 +249,6 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
         prefix, rest, live, v = stack.pop()
         t = len(prefix)
         head = None
-        if not v and len(live) > m:
-            # drop each pair with an action that stays below the block's
-            # best floor: O(m*t) here saves O(#pairs) work under the block
-            head = [sum(map(mul, prefix, row)) for row in rows]
-            floor = [h + rest * f for h, f in zip(head, floors[t])]
-            best = floor.index(max(floor))
-            beats = above[t][best * m:best * m + m]
-            ok = [h - head[best] + rest * a >= 0 for h, a in zip(head, beats)]
-            live = [(p, c) for p, c in live if ok[pairs[p][0]] and ok[pairs[p][1]]]
         column = columns[t]
         if t + 1 < depth and rest:
             # the block's children x[t] = 0, 1, ..., rest, one per pop
@@ -389,7 +366,7 @@ def random_problem(
         raise ValueError("magnitude must be at least 1")
     rng = SplitMix64(seed)
     payoff = tuple(
-        tuple(Fraction(rng.next_int(-magnitude, magnitude)) for _ in range(states))
+        tuple(rng.next_int(-magnitude, magnitude) for _ in range(states))
         for _ in range(actions)
     )
     return DecisionProblem.from_matrix(payoff)

@@ -169,13 +169,11 @@ class DecisionProblem:
     ) -> "DecisionProblem":
         """Build a problem from a payoff matrix, defaulting action labels to
         0, 1, ..., k and state labels to "s0", "s1", ..., "sn"."""
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in payoff)
         if actions is None:
-            actions = tuple(Fraction(i) for i in range(len(rows)))
+            actions = range(len(payoff))
         if states is None:
-            width = len(rows[0]) if rows else 0
-            states = tuple(f"s{j}" for j in range(width))
-        return cls(tuple(as_fraction(a) for a in actions), tuple(states), rows)
+            states = tuple(f"s{j}" for j in range(len(payoff[0]) if payoff else 0))
+        return cls(actions, states, payoff)
 
     @property
     def num_actions(self) -> int:

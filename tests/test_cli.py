@@ -573,6 +573,25 @@ class TestHarnessStability:
                         seed=7, grid=0)
         assert a == b
 
+    def test_relabels_again_only_a_moved_order(self, monkeypatch):
+        # the idempotence check re-sorts the relabeled survivors only when
+        # the first relabel moved a state: an identity relabel returns the
+        # survivors themselves, and sorting them again repeats it
+        identities = []
+
+        def recorded(problem):
+            relabeling, relabeled = relabel_for_lsc(problem)
+            identities.append(relabeling.permutation == tuple(range(problem.num_states)))
+            return relabeling, relabeled
+
+        monkeypatch.setattr(cli_module, "relabel_for_lsc", recorded)
+        doc = run_harness(instances=40, max_actions=5, max_states=4, magnitude=8,
+                          seed=1729, grid=0)
+        assert all(r["relabel_idempotent"] for r in doc["instances"])
+        moved = identities.count(False)
+        assert 0 < moved < 40
+        assert len(identities) == 40 + moved
+
     def test_harness_counts_are_coherent(self):
         doc = run_harness(instances=25, max_actions=5, max_states=3, magnitude=8,
                           seed=99, grid=8)
@@ -727,7 +746,7 @@ class TestPinnedOutput:
 
     def test_wide_gap_searches_list_few_leaf_ties(self, monkeypatch):
         # a work guard on the same nine problems: the residue and range
-        # tests leave 102 leaf lines to list, where listing every leaf that
+        # tests leave 116 leaf lines to list, where listing every leaf that
         # the real-range filter keeps takes 6,030
         calls, block_ties = [], oracle_module._block_ties
         monkeypatch.setattr(oracle_module, "_block_ties",

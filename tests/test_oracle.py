@@ -1,9 +1,11 @@
 """Grid enumeration, the complete two-state oracle, and the instance
 generator."""
 
+import ast
 import math
 from fractions import Fraction as F
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import pytest
 
@@ -491,6 +493,22 @@ class TestSplitMix64:
             SplitMix64(1).next_int(3, 2)
 
 
+class TestIndependence:
+    def test_the_only_package_import_is_the_problem_model(self):
+        # the oracle cross-checks the LP verdicts, so it may not import the
+        # LP machinery or anything built on it
+        tree = ast.parse(Path(oracle_module.__file__).read_text())
+        imports = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level or (node.module or "").split(".")[0] == "qccheck":
+                    imports.append((node.level, node.module))
+            elif isinstance(node, ast.Import):
+                imports += [(0, alias.name) for alias in node.names
+                            if alias.name.split(".")[0] == "qccheck"]
+        assert imports == [(1, "problems")]
+
+
 class TestRandomProblem:
     def test_deterministic(self):
         a = random_problem(seed=77, actions=3, states=2, magnitude=10)
@@ -500,6 +518,7 @@ class TestRandomProblem:
     def test_entries_within_bounds(self):
         problem = random_problem(seed=5, actions=6, states=4, magnitude=3)
         assert all(abs(v) <= 3 for row in problem.payoff for v in row)
+        assert all(type(v) is F for row in problem.payoff for v in row)
 
     def test_different_seeds_differ(self):
         a = random_problem(seed=1, actions=4, states=4, magnitude=10)

@@ -140,6 +140,18 @@ class TestDecisionProblem:
         with pytest.raises(ValueError):
             DecisionProblem.from_matrix([[1, 2], [3]])
 
+    def test_from_matrix_builds_fractions_and_default_labels(self):
+        problem = DecisionProblem.from_matrix([[1, "-7/2"], [F(2, 3), "4"]])
+        assert problem == DecisionProblem(
+            (F(0), F(1)), ("s0", "s1"), ((F(1), F(-7, 2)), (F(2, 3), F(4)))
+        )
+        assert all(type(v) is F for row in problem.payoff for v in row)
+        assert all(type(a) is F for a in problem.actions)
+        with pytest.raises(TypeError):
+            DecisionProblem.from_matrix([[1, 0.5]])
+        with pytest.raises(TypeError):
+            DecisionProblem.from_matrix([[1], [2]], actions=[0, 1.5])
+
     def test_expected_payoff_hand_value(self, p1):
         # action 0 at (3/4, 1/4): -4 * 1/4
         assert p1.expected_payoff(0, Belief((F(3, 4), F(1, 4)))) == -1
