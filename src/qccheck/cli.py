@@ -41,6 +41,10 @@ _MAX_GRID_BELIEFS = 10**6
 # Largest action count, in triples C(m, 3), that the commands running
 # elimination or the unimodality check accept; refused for the same reason.
 _MAX_TRIPLES = 551_300
+# Largest `verify-props --max-states`, refused at every `--grid` for the
+# same reason: one 6-action instance takes about 7.6 s at 100 states, nearly
+# all of it in the mixture audit's LPs, and 1.9 s at 50.
+_MAX_STATES = 100
 # Largest `discretize --grid-points` output, in payoff cells (points x
 # states); refused before any discretization for the same reason.
 _MAX_PAYOFF_CELLS = 10**6
@@ -540,6 +544,7 @@ def _discretize(args: argparse.Namespace) -> dict:
 
 
 def _verify_props(args: argparse.Namespace) -> dict:
+    _check_size("--max-states", args.max_states, "states", _MAX_STATES)
     _check_grid(args.grid, args.max_states)
     _check_actions("--max-actions", args.max_actions)
     return run_harness(instances=args.instances, max_actions=args.max_actions,

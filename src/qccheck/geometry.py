@@ -13,9 +13,10 @@ A gap at a belief is a strict dip there: if i and k are optimal and j is
 not, then u_i - u_j > 0 and u_k - u_j > 0.  So convexity reads the
 unimodality verdict of `check_qcc`, which has already decided every dip:
 when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
-below i0 can have one.  Each pair from i0 on is searched for a gap on the
-point masses and edges of the simplex first (`exactlp.edge_witness`), and
-an exact LP is solved only for a pair where no point mass or edge has one.
+below i0 can have one.  Every pair from i0 on is searched for a gap on the
+point masses and edges of the simplex (`exactlp.edge_witness`) before any
+pair gets an exact LP, and the LPs are solved only when no point mass or
+edge of any pair has a gap.
 The nesting questions are two-row systems, decided in the plane with no LP.
 The m - 2 chain questions are asked first, and a chain of holding links
 answers every region question above it by transitivity (see
@@ -105,24 +106,26 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
     `qcc` must be `check_qcc`'s verdict for the same problem.  A gap is a
     dip, so a holding verdict means convexity holds, and a verdict failing
     at (i0, j0, k0) means no pair i < i0 has a gap: `check_qcc` found every
-    triple below i0 infeasible.  Each pair i < k with i >= i0 has an LP:
-    on the face where i and k are both optimal (one equality plus global
-    weak comparisons), maximize the sum of the gaps u_i - u_j over the
-    actions j strictly between.  Every gap is nonnegative there, so the
+    triple below i0 infeasible.  Each pair i < k with i >= i0 and k >= i + 2
+    has an LP: on the face where i and k are both optimal (one equality plus
+    global weak comparisons), maximize the sum of the gaps u_i - u_j over
+    the actions j strictly between.  Every gap is nonnegative there, so the
     optimum is positive exactly when some belief skips a middle action.
-    Before the LP, `edge_witness` looks for a point mass or edge belief
-    that meets the LP's rows with its objective as the one strict row;
-    such a belief is a gap, so the LP runs only when no point mass or edge
-    has one.  The first pair with a gap in lexicographic order is reported,
-    with j the lowest action between i and k that is not optimal at the
-    belief found.
+
+    The pairs are taken twice, in lexicographic order.  First `edge_witness`
+    looks on every pair for a point mass or edge belief that meets the
+    pair's LP rows with its objective as the one strict row; such a belief
+    is a gap.  Only when no pair has one are the pair LPs solved, in the
+    same order.  So the pair reported is the first with a point-mass or
+    edge gap, or, when there is none, the first whose LP finds a gap, with
+    j the lowest action between i and k that is not optimal at the belief.
     """
     if qcc.holds:
         return ConvexityVerdict(holds=True, counterexample=None)
     assert qcc.counterexample is not None
-    m = problem.num_actions
+    m, first = problem.num_actions, qcc.counterexample.triple[0]
     scaled = integer_payoff(problem)
-    for i in range(qcc.counterexample.triple[0], m - 2):
+    for i in range(first, m - 2):
         gaps = [[a - b for a, b in zip(scaled[i], row)] for row in scaled]
         for k in range(i + 2, m):
             # the pair's LP rows, its objective as the one strict row
@@ -130,30 +133,37 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
             rows += [gaps[other] for other in range(m) if other not in (i, k)]
             rows.append([sum(column) for column in zip(*gaps[i + 1:k])])
             belief = edge_witness(list(zip(*rows)), (False,) * (len(rows) - 1) + (True,))
-            if belief is None:
-                lp_rows = [(indifference_hyperplane(problem, i, k), "==", 0)]
-                lp_rows += [(indifference_hyperplane(problem, i, other), ">=", 0)
-                            for other in range(m) if other != i]
-                middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
-                objective = [sum(column) for column in zip(*middle)]
-                result = solve(LinearSystem.build(problem.num_states, lp_rows, objective))
-                if not result.is_optimal or result.value <= 0:
-                    continue
-                belief = result.witness
-                assert belief is not None
-            optimal = problem.argmax_set(belief)
-            skipped = [j for j in range(i + 1, k) if j not in optimal]
-            if i not in optimal or k not in optimal or not skipped:
-                raise InternalInvariantError(
-                    "convexity-counterexample-substitution",
-                    f"belief {belief.coordinates} does not realize a gap "
-                    f"between {i} and {k}",
-                )
-            return ConvexityVerdict(
-                holds=False,
-                counterexample=ConvexityCounterexample(belief, (i, skipped[0], k)),
-            )
+            if belief is not None:
+                return _gap_verdict(problem, belief, i, k)
+    for i in range(first, m - 2):
+        for k in range(i + 2, m):
+            lp_rows = [(indifference_hyperplane(problem, i, k), "==", 0)]
+            lp_rows += [(indifference_hyperplane(problem, i, other), ">=", 0)
+                        for other in range(m) if other != i]
+            middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
+            objective = [sum(column) for column in zip(*middle)]
+            result = solve(LinearSystem.build(problem.num_states, lp_rows, objective))
+            if result.is_optimal and result.value > 0:
+                assert result.witness is not None
+                return _gap_verdict(problem, result.witness, i, k)
     return ConvexityVerdict(holds=True, counterexample=None)
+
+
+def _gap_verdict(problem: DecisionProblem, belief: Belief, i: int, k: int) -> ConvexityVerdict:
+    """The failing verdict for a gap between i and k at `belief`, re-verified
+    by substitution, with j the lowest skipped action."""
+    optimal = problem.argmax_set(belief)
+    skipped = [j for j in range(i + 1, k) if j not in optimal]
+    if i not in optimal or k not in optimal or not skipped:
+        raise InternalInvariantError(
+            "convexity-counterexample-substitution",
+            f"belief {belief.coordinates} does not realize a gap "
+            f"between {i} and {k}",
+        )
+    return ConvexityVerdict(
+        holds=False,
+        counterexample=ConvexityCounterexample(belief, (i, skipped[0], k)),
+    )
 
 
 def check_nesting(problem: DecisionProblem) -> NestingReport:

@@ -336,6 +336,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--grid" in err and len(err.strip().splitlines()) == 1
 
+    def test_state_count_over_the_budget_is_refused_at_grid_zero(self, capsys, monkeypatch):
+        # refused before any instance is drawn, so the test starts no long
+        # run; the limit itself reaches the harness
+        calls = []
+        monkeypatch.setattr(cli_module, "run_harness", lambda **kwargs: calls.append(kwargs) or {})
+        argv = ["verify-props", "--instances", "1", "--grid", "0", "--max-states"]
+        assert main([*argv, "2000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert captured.err == ("qccheck: input error: --max-states is 2000 states; "
+                                "the limit is 100\n")
+        assert main([*argv, "100"]) == 0
+        assert [kwargs["max_states"] for kwargs in calls] == [100]
+
     @pytest.mark.parametrize(
         "text, argv",
         [
@@ -673,7 +687,7 @@ class TestPinnedOutput:
             del report["timing"]
             reports.append(report)
         assert _sha256(json.dumps(reports, sort_keys=True)) == (
-            "71c1f12ac65cb98290695c02235427b671d67dd1ac839ab54c26f007cbdbb2c4"
+            "500742cee8b282608e5f34c7067548dc8b527410af6d8f750876a6dc2c6aeb78"
         )
 
     def test_analyze_reports_digest_without_witnesses(self):
@@ -693,11 +707,11 @@ class TestPinnedOutput:
         "argv, digest",
         [
             (["analyze", "--grid", "4"],
-             "a27a98c9583a53f7652c947fb6f608a93658012e033258f836fcbc71a80be67a"),
+             "a6cfb886f12fbefa7e8d62a823d3b13c3f5de20056e41872752448739a812c93"),
             (["check-qcc"],
              "5d195addee22628c918e713f13ff1c0e62b20b2679263c4332cb5f14365c694d"),
             (["check-convexity"],
-             "88e252f170a5a59d488a1868e1981851db05015324924453978035e77959fa07"),
+             "913d4b9d69181243fbafec4d6c716c79decf6fea978d46ae29eb5277269b37ca"),
             (["eliminate"],
              "e70f83893996aa23360af64ce53a2cd68698deac10b0b4f37fc7f61de8604604"),
             (["relabel"],

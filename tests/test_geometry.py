@@ -8,6 +8,7 @@ import pytest
 import qccheck.exactlp as exactlp
 import qccheck.geometry as geometry
 from qccheck import (
+    Belief,
     DecisionProblem,
     InternalInvariantError,
     LinearSystem,
@@ -58,6 +59,41 @@ def _reference_first_pair(problem):
         if any(_triple_gap(problem, i, j, k) for j in range(i + 1, k)):
             return i, k
     return None
+
+
+def _edge_beliefs(problem):
+    """Every point mass, and on each edge (s, t) every breakpoint where two
+    actions' payoff lines cross and a midpoint between consecutive ones, as
+    `exact_check_two_state` reads a two-state problem: the weak order of the
+    actions is constant between consecutive breakpoints, so these beliefs
+    show every optimal set that a point mass or an edge has."""
+    n = problem.num_states
+    for s, t in itertools.combinations_with_replacement(range(n), 2):
+        lines = [(row[s], row[t]) for row in problem.payoff]
+        cuts = {F(0), F(1)}
+        for (a, b), (c, d) in itertools.combinations(lines, 2):
+            if a - c != b - d:
+                cuts.add(F(a - c) / ((a - c) - (b - d)))
+        ordered = sorted(lam for lam in cuts if 0 <= lam <= 1)
+        for lam in ordered + [(x + y) / 2 for x, y in itertools.pairwise(ordered)]:
+            coordinates = [F(0)] * n
+            coordinates[s] += 1 - lam
+            coordinates[t] += lam
+            yield Belief(tuple(coordinates))
+
+
+def _has_edge_gap(problem, i, k):
+    """Whether some point mass or edge belief has i and k optimal and an
+    action between them not."""
+    return any(i in optimal and k in optimal and not set(range(i + 1, k)) <= optimal
+               for optimal in map(problem.argmax_set, _edge_beliefs(problem)))
+
+
+def _reference_edge_pair(problem):
+    """The first pair (i, k), k >= i + 2, in lexicographic order with a gap
+    on a point mass or an edge of the simplex, or None."""
+    return next((pair for pair in itertools.combinations(range(problem.num_actions), 2)
+                 if _has_edge_gap(problem, *pair)), None)
 
 
 def _polynomial(*coefficients):
@@ -191,11 +227,24 @@ class TestArgmaxConvexity:
         if verdict.holds:
             return
         i, j, k = verdict.counterexample.triple
-        assert (i, k) == _reference_first_pair(problem)
-        assert i == reference[0]
+        # the first pair with a point-mass or edge gap; with none, the first
+        # pair with a gap anywhere
+        assert (i, k) == (_reference_edge_pair(problem) or _reference_first_pair(problem))
+        assert i >= reference[0]
         optimal = problem.argmax_set(verdict.counterexample.belief)
         assert i in optimal and k in optimal and j not in optimal
         assert all(between in optimal for between in range(i + 1, j))
+
+    @pytest.mark.parametrize("search", [True, False], ids=["edge-belief", "lp-belief"])
+    def test_belief_failing_substitution_raises(self, p2, search, monkeypatch):
+        # both passes hand their belief to the same substitution check
+        qcc = check_qcc(p2)
+        if not search:
+            monkeypatch.setattr(geometry, "edge_witness", lambda *args: None)
+        monkeypatch.setattr(DecisionProblem, "argmax_set", lambda self, belief: {0})
+        with pytest.raises(InternalInvariantError) as caught:
+            check_argmax_convexity(p2, qcc)
+        assert caught.value.invariant == "convexity-counterexample-substitution"
 
     @pytest.mark.parametrize("actions", [3, 4, 6, 9])
     def test_no_lp_when_convexity_holds(self, actions, monkeypatch):
@@ -230,13 +279,17 @@ class TestArgmaxConvexity:
 
 
 class TestEdgeSearch:
-    """The edge search before each pair LP against the LP route: a belief
-    found on a point mass or an edge satisfies the pair LP's rows with a
-    positive objective, so it settles the pair the LP would have."""
+    """The edge search on every pair before any pair LP, against the LP
+    route: a belief found on a point mass or an edge satisfies the pair
+    LP's rows with a positive objective, so it is a gap, and the LPs are
+    solved only when no pair has one."""
 
     @pytest.mark.parametrize("shape", sorted(ROUTE_PROBLEMS))
     def test_same_verdict_and_pair_as_the_lp_route(self, shape, monkeypatch):
-        misses = lp_found = 0
+        # the LP route's pair is the first with a gap anywhere; where that
+        # pair has a gap on a point mass or an edge, no earlier pair has one,
+        # so the search reports the same pair
+        misses = kept = 0
         for problem in ROUTE_PROBLEMS[shape]:
             verdict, events = _routed(problem, monkeypatch)
             reference, _ = _routed(problem, monkeypatch, search=False)
@@ -244,27 +297,89 @@ class TestEdgeSearch:
             misses += events.count("miss")
             if verdict.holds:
                 continue
+            lp_pair = reference.counterexample.triple[::2]
+            if _has_edge_gap(problem, *lp_pair):
+                assert verdict.counterexample.triple[::2] == lp_pair
+                kept += 1
+        assert misses > 0 and kept > 0
+
+    @pytest.mark.parametrize("shape", sorted(ROUTE_PROBLEMS))
+    def test_pair_as_the_edge_reference(self, shape, monkeypatch):
+        moved = 0
+        for problem in ROUTE_PROBLEMS[shape]:
+            verdict, events = _routed(problem, monkeypatch)
+            reference, _ = _routed(problem, monkeypatch, search=False)
+            assert verdict.holds == (_reference_first_triple(problem) is None)
+            if verdict.holds:
+                continue
             i, j, k = verdict.counterexample.triple
-            assert (i, k) == (reference.counterexample.triple[0],
-                              reference.counterexample.triple[2])
+            lp_pair = (reference.counterexample.triple[0], reference.counterexample.triple[2])
+            assert (i, k) == (_reference_edge_pair(problem) or lp_pair)
+            moved += (i, k) != lp_pair
             optimal = problem.argmax_set(verdict.counterexample.belief)
             assert i in optimal and k in optimal and j not in optimal
             assert all(between in optimal for between in range(i + 1, j))
-            lp_found += events[-1] == "lp"
-        assert misses > 0 and lp_found > 0
+        # the LP route reports a later pair on some problems
+        assert moved > 0
 
     @pytest.mark.parametrize("shape", sorted(ROUTE_PROBLEMS))
     def test_an_lp_only_where_the_search_misses(self, shape, monkeypatch):
-        # every pair is searched first; a miss gets the pair's LP and a hit
-        # settles the pair with none, so there are at most as many LPs as
-        # on the LP route
+        # every pair from check_qcc's i0 on is searched first; a hit ends the
+        # check with no LP, and only when every pair misses are the pair LPs
+        # solved, in the same order, up to the first that finds a gap
         for problem in ROUTE_PROBLEMS[shape]:
-            _, events = _routed(problem, monkeypatch)
-            _, reference = _routed(problem, monkeypatch, search=False)
-            settled = events[-1:] == ["hit"]
-            assert events == ["miss", "lp"] * events.count("miss") + ["hit"] * settled
-            assert events.count("lp") <= reference.count("lp")
-            assert reference == ["miss", "lp"] * (events.count("miss") + settled)
+            verdict, events = _routed(problem, monkeypatch)
+            missed, reference = _routed(problem, monkeypatch, search=False)
+            # with every search missing, the LPs alone decide, after all the
+            # searches; their pair is the per-triple scan's first
+            searches = reference.count("miss")
+            assert reference == ["miss"] * searches + ["lp"] * reference.count("lp")
+            assert missed.holds or (missed.counterexample.triple[::2]
+                                    == _reference_first_pair(problem))
+            if "hit" in events:
+                assert events == ["miss"] * events.index("hit") + ["hit"]
+                continue
+            # no pair has a point-mass or edge gap: the same searches and
+            # LPs, and the LP route's pair, j and belief
+            assert events == reference
+            assert verdict == missed
+
+
+class TestConvexityLpCount:
+    """A work guard: on survivors, where every action is uniquely optimal
+    somewhere, a failing `qcc` means a gap, and on these problems a point
+    mass or an edge shows one, so no pair LP is solved; the LPs stay the
+    complete fallback where no pair has a gap."""
+
+    def test_no_lp_on_survivors_with_a_dip(self, monkeypatch):
+        # the benchmark's `wide` shapes after elimination
+        failing = []
+        for n in range(300):
+            raw = random_problem(7000 + n, 4 + n % 3, 6 + n // 3 % 3, 1000)
+            survivors = iterated_elimination(raw).surviving
+            qcc = check_qcc(survivors)
+            if not qcc.holds:
+                failing.append((survivors, qcc))
+        calls = _counted_solves(monkeypatch)
+        assert all(not check_argmax_convexity(*case).holds for case in failing)
+        assert len(failing) >= 250 and calls == []
+
+    def test_raw_problems_with_no_gap_solve_every_pair_lp(self, monkeypatch):
+        # before elimination qcc can fail with no gap anywhere: every pair
+        # from check_qcc's i0 on misses the search and gets its LP
+        calls = _counted_solves(monkeypatch)
+        cases = 0
+        for s in range(60):
+            problem = random_problem(30000 + s, 2 + s % 6, 1 + s // 6 % 4, (3, 10, 1000)[s % 3])
+            qcc = check_qcc(problem)
+            before = len(calls)
+            verdict = check_argmax_convexity(problem, qcc)
+            if qcc.holds or not verdict.holds:
+                continue
+            cases += 1
+            m, first = problem.num_actions, qcc.counterexample.triple[0]
+            assert len(calls) - before == sum(m - i - 2 for i in range(first, m - 2)) > 0
+        assert cases >= 10
 
 
 class TestNesting:
