@@ -31,7 +31,7 @@ from .geometry import ConvexityVerdict, NestingReport, check_argmax_convexity, c
 from .lsc import check_lsc, relabel_for_lsc
 from .oracle import GridSpec, SplitMix64, find_grid_dip, find_grid_gap, random_problem
 from .problems import Belief, DecisionProblem, DifferenceVector, PolynomialProblem, as_fraction
-from .qcc import QccVerdict, check_qcc, unimodality_profile
+from .qcc import QccVerdict, check_qcc
 
 OUT_DIR_ENV = "QCCHECK_OUT_DIR"
 
@@ -41,13 +41,17 @@ _MAX_GRID_BELIEFS = 10**6
 # Largest action count, in triples C(m, 3), that the commands running
 # elimination or the unimodality check accept; refused for the same reason.
 _MAX_TRIPLES = 551_300
-# Largest `verify-props --max-states`, refused at every `--grid` for the
-# same reason: one 6-action instance takes about 7.6 s at 100 states, nearly
-# all of it in the mixture audit's LPs, and 1.9 s at 50.
+# Largest `verify-props --max-states`, and `--max-actions` x `--max-states`,
+# refused at every `--grid` for the same reason: the audit's LPs grow with
+# both, one instance taking 5.6-12.2 s at 600 cells and 27.8 s at 12 x 100.
 _MAX_STATES = 100
+_MAX_CELLS = 600
 # Largest `discretize --grid-points` output, in payoff cells (points x
-# states); refused before any discretization for the same reason.
+# states) and Horner steps (points x all coefficients), refused for the same
+# reason; 3 quadratics at 333,333 points take 14.2 s, but a step costs more
+# as the degree grows: 10,000 coefficients at 300 points take 121 s.
 _MAX_PAYOFF_CELLS = 10**6
+_MAX_HORNER_STEPS = 3 * 10**6
 
 
 class InputFileError(ValueError):
@@ -250,12 +254,6 @@ def _oracle_cross_check(
             f"grid argmax gap at {gap[0].coordinates} but the solver reported "
             "convex optimal-action sets",
         )
-    if qcc_verdict.counterexample is not None:
-        _, unimodal = unimodality_profile(problem, qcc_verdict.counterexample.belief)
-        if unimodal:
-            raise InternalInvariantError(
-                "oracle-lp-consistency", "solver dip witness is unimodal pointwise"
-            )
     return dip, gap
 
 
@@ -538,8 +536,10 @@ def _discretize(args: argparse.Namespace) -> dict:
     poly = polynomial_from_json(_load_json(args.polyfile))
     if args.grid_points < 2:
         raise InputFileError("--grid-points must be at least 2")
-    _check_size(f"--grid-points {args.grid_points} over {len(poly.states)} states",
-                args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
+    what = f"--grid-points {args.grid_points} over {len(poly.states)} states"
+    _check_size(what, args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
+    steps = args.grid_points * sum(map(len, poly.coefficients))
+    _check_size(what, steps, "Horner steps", _MAX_HORNER_STEPS)
     return problem_to_json(poly.discretize(args.grid_points))
 
 
@@ -547,6 +547,8 @@ def _verify_props(args: argparse.Namespace) -> dict:
     _check_size("--max-states", args.max_states, "states", _MAX_STATES)
     _check_grid(args.grid, args.max_states)
     _check_actions("--max-actions", args.max_actions)
+    _check_size(f"--max-actions {args.max_actions} x --max-states {args.max_states}",
+                args.max_actions * args.max_states, "cells", _MAX_CELLS)
     return run_harness(instances=args.instances, max_actions=args.max_actions,
                        max_states=args.max_states, magnitude=args.magnitude,
                        seed=args.seed, grid=args.grid)

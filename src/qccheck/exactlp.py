@@ -37,10 +37,10 @@ roots -u / (v - u).  For two rows the search is complete.  Each state s maps to
 the point (a_s, b_s) and the beliefs onto the convex hull of these points;
 if the hull meets the open quadrant (or the quadrant with its positive
 a-axis), some vertex or edge of a Caratheodory triangle meets it too.
-Nesting's half-open question a.x > 0, b.x >= 0 gets that witness or, when
-there is none, `motzkin_certificate`: alpha > 0 and beta >= 0 with
-alpha a_s + beta b_s <= 0 for every state (Motzkin 1936), also re-verified
-on the points.
+When it misses, `motzkin_certificate` gives alpha, beta >= 0 with
+alpha a_s + beta b_s <= 0 in every state (Motzkin 1936): alpha > 0 for
+nesting's a.x > 0, b.x >= 0, and not both 0 for `qcc`'s a.x > 0, b.x > 0,
+also re-verified on the points.
 """
 
 from __future__ import annotations
@@ -470,21 +470,22 @@ def segment_interval(
 
 
 def motzkin_certificate(
-    points: Sequence[tuple[Rational, Rational]]
+    points: Sequence[tuple[Rational, Rational]], strict: Sequence[bool]
 ) -> tuple[Rational, Rational]:
-    """The Motzkin (alpha, beta), alpha > 0, beta >= 0, that certifies no
-    belief gives a.x > 0 and b.x >= 0 over the points (a_s, b_s), one per
-    state, re-verified by substitution on the points.  Asked only after
-    `edge_witness(points, (True, False))` has found no belief, so a missing
-    certificate is an internal error.  See the module docstring.
+    """The Motzkin (alpha, beta) >= 0 that certifies no belief gives
+    a.x > 0 and b.x > 0 (b.x >= 0 when not `strict[1]`; `strict[0]` holds)
+    over the points (a_s, b_s), one per state, re-verified on the points.
+    Asked only after `edge_witness(points, strict)` has found no belief, so
+    a missing certificate is an internal error.  See the module docstring.
     """
-    farkas = _motzkin_multipliers(points)
+    farkas = _motzkin_multipliers(points, strict)
     if farkas is None:
         raise InternalInvariantError(
             "lp-planar-alternative", f"neither a witness nor a certificate for {points}"
         )
     alpha, beta = farkas
-    if alpha <= 0 or beta < 0 or any(alpha * a + beta * b > 0 for a, b in points):
+    if (alpha < 0 or beta < 0 or not (alpha > 0 or strict[1] and beta > 0)
+            or any(alpha * a + beta * b > 0 for a, b in points)):
         raise InternalInvariantError(
             "lp-farkas-substitution", f"multipliers {farkas} do not separate {points}"
         )
@@ -492,14 +493,14 @@ def motzkin_certificate(
 
 
 def _motzkin_multipliers(
-    points: Sequence[tuple[Rational, Rational]]
+    points: Sequence[tuple[Rational, Rational]], strict: Sequence[bool]
 ) -> Optional[tuple[Rational, Rational]]:
-    """(alpha, beta) with alpha > 0, beta >= 0 and alpha a_s + beta b_s <= 0
-    for every point; the candidates are the first axis and the normals of
-    the lines through the origin and each point."""
-    candidates = [(1, 0)] + [(abs(b), abs(a)) for a, b in points]
+    """(alpha, beta) >= 0, alpha > 0 unless both rows are strict, with
+    alpha a_s + beta b_s <= 0 for every point; the candidates are the two
+    axes and the normals of the lines through the origin and each point."""
+    candidates = [(1, 0), (0, 1)] + [(abs(b), abs(a)) for a, b in points]
     for alpha, beta in candidates:
-        if alpha > 0 and all(alpha * a + beta * b <= 0 for a, b in points):
+        if (alpha or strict[1] and beta) and all(alpha * a + beta * b <= 0 for a, b in points):
             return alpha, beta
     return None
 

@@ -226,7 +226,7 @@ def _beats_without(
               for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
     point = edge_point(points, (True, False))
     if point is None:
-        motzkin_certificate(points)
+        motzkin_certificate(points, (True, False))
         return None
     weights, denominator = point
     value = [sum(map(operator.mul, weights, scaled[a])) for a in (p, q, r, s)]

@@ -21,11 +21,10 @@ substitution at the ends of both sides, which is enough because the payoffs
 are linear in lam.  A one-state problem has no edge and is decided on its
 single column.
 
-When the sweep finds a dip, the triples are scanned in lexicographic order,
-each decided by the same sweep on its three rows, so every triple passed
-over rests on verified splits too.  The first triple with a dip gets its
-belief from `exactlp.edge_witness` on the points (u_i - u_j, u_k - u_j),
-one per state; it is re-verified pointwise before being reported.
+When the sweep finds a dip, the triples are scanned in lexicographic order
+on the points (u_i - u_j, u_k - u_j), one per state: the first belief that
+`exactlp.edge_witness` finds is re-verified pointwise and reported, and
+each triple passed over rests on a verified `exactlp.motzkin_certificate`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .exactlp import edge_witness, segment_interval
+from .exactlp import edge_witness, motzkin_certificate, segment_interval
 from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
 
 
@@ -73,27 +72,24 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
 
     The edge sweep decides the question; a holding verdict counts all
     C(m, 3) triples as checked, since the sweep has settled each of them.
-    When the sweep finds a dip, triples are swept one by one in
-    lexicographic order and the first with a dip is returned as the
-    counterexample.  With fewer than three actions the property holds
-    vacuously.
+    When the sweep finds a dip, the first triple in lexicographic order with
+    an `edge_witness` belief is the counterexample, and each one before it
+    gets a Motzkin certificate.  With fewer than three actions it holds.
     """
     scaled = integer_payoff(problem)
     if _edge_sweep(scaled):
         return QccVerdict(
             holds=True, counterexample=None, checked_triples=math.comb(problem.num_actions, 3)
         )
-    belief = None
     for count, (i, j, k) in enumerate(itertools.combinations(range(problem.num_actions), 3), 1):
-        if not _edge_sweep([scaled[i], scaled[j], scaled[k]]):
-            # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
-            points = [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])]
-            belief = edge_witness(points, (True, True))
+        # j strictly worse than both i and k: u_i - u_j > 0 and u_k - u_j > 0
+        points = [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])]
+        belief = edge_witness(points, (True, True))
+        if belief is not None:
             break
-    if belief is None:
-        raise InternalInvariantError(
-            "qcc-edge-sweep", "the edge sweep found a dip that no belief on an edge realizes"
-        )
+        motzkin_certificate(points, (True, True))
+    else:
+        raise InternalInvariantError("qcc-edge-sweep", "every triple rules out the sweep's dip")
     values, unimodal = unimodality_profile(problem, belief)
     if unimodal or not (values[j] < values[i] and values[j] < values[k]):
         raise InternalInvariantError(

@@ -350,6 +350,20 @@ class TestExitCodes:
         assert main([*argv, "100"]) == 0
         assert [kwargs["max_states"] for kwargs in calls] == [100]
 
+    def test_actions_times_states_over_the_budget_is_refused(self, capsys, monkeypatch):
+        # the audit grows with both counts: 12 actions at 100 states took
+        # 27.8 s an instance, so the product is bounded before any work
+        calls = []
+        monkeypatch.setattr(cli_module, "run_harness", lambda **kwargs: calls.append(kwargs) or {})
+        argv = ["verify-props", "--instances", "1", "--max-states", "100", "--max-actions"]
+        assert main([*argv, "12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert captured.err == ("qccheck: input error: --max-actions 12 x --max-states 100 "
+                                "is 1200 cells; the limit is 600\n")
+        assert main([*argv, "6"]) == 0
+        assert [kwargs["max_actions"] for kwargs in calls] == [6]
+
     @pytest.mark.parametrize(
         "text, argv",
         [
@@ -479,6 +493,25 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         # the limit counts payoff cells: 500,001 points over 2 states is over it
         assert main(["discretize", path, "--grid-points", "500001"]) == 1
+
+    def test_long_polynomials_are_refused_by_their_horner_steps(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 1,200 coefficients over 2 states: 10**6 payoff cells pass the cell
+        # limit but would run for hours; 1,250 points are 3,000,000 steps
+        reached = []
+        monkeypatch.setattr(PolynomialProblem, "discretize",
+                            lambda self, grid_points: reached.append(grid_points) or
+                            DecisionProblem.from_matrix([[0]]))
+        doc = {**POLY_DOC, "coefficients": [["1"] * 1200, ["-1"] * 1200]}
+        path = write_json(tmp_path / "poly.json", doc)
+        for points in ("500000", "1251"):
+            assert main(["discretize", path, "--grid-points", points]) == 1
+            assert capsys.readouterr().err == (
+                f"qccheck: input error: --grid-points {points} over 2 states is "
+                f"{int(points) * 2400} Horner steps; the limit is 3000000\n")
+        assert reached == []
+        assert main(["discretize", path, "--grid-points", "1250"]) == 0
+        assert reached == [1250]
 
     def test_internal_error_emits_diagnostic_and_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an oracle/solver contradiction by monkeypatching the grid dip

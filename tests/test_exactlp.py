@@ -223,11 +223,12 @@ def _random_points(rng):
     return _points(a, b)
 
 
-def certifies_motzkin(points, farkas):
-    """The half-open certificate, written out apart from the solver:
-    alpha > 0, beta >= 0, and alpha a_s + beta b_s <= 0 in every state."""
+def certifies_motzkin(points, farkas, strict):
+    """The Motzkin certificate, written out apart from the solver: alpha > 0
+    (or, when both rows are strict, alpha + beta > 0), alpha, beta >= 0, and
+    alpha a_s + beta b_s <= 0 in every state."""
     alpha, beta = farkas
-    if alpha <= 0 or beta < 0:
+    if alpha < 0 or beta < 0 or alpha + (beta if strict else 0) <= 0:
         return False
     return all(alpha * a + beta * b <= 0 for a, b in points)
 
@@ -247,8 +248,9 @@ class TestPlanarFeasible:
             points = _random_points(rng)
             reference = _reference_system(points, strict)
             witness = _decide(points, strict)
-            if witness is None and not strict:
-                assert certifies_motzkin(points, exactlp.motzkin_certificate(points))
+            if witness is None:
+                farkas = exactlp.motzkin_certificate(points, (True, strict))
+                assert certifies_motzkin(points, farkas, strict)
             assert (witness is not None) == strict_feasible(reference).open_feasible
             seen[witness is not None] += 1
             if witness is not None:
@@ -277,9 +279,15 @@ class TestPlanarFeasible:
         assert _decide(_points([3], [0]), False).coordinates == (F(1),)
         assert exactlp.edge_witness(_points([3], [0]), (True, True)) is None
         assert exactlp.edge_witness(_points([0], [5]), (True, True)) is None
-        for a, b, farkas in [([3], [-2], (F(2), F(3))), ([0], [0], (F(1), F(0)))]:
-            assert _decide(_points(a, b), False) is None
-            assert exactlp.motzkin_certificate(_points(a, b)) == farkas
+        for a, b, strict, farkas in [
+            ([3], [-2], False, (F(2), F(3))),
+            ([0], [0], False, (F(1), F(0))),
+            # the strict pair at (1, 0): only (0, beta) certifies
+            ([1], [0], True, (F(0), F(1))),
+            ([-1], [-1], True, (F(1), F(0))),
+        ]:
+            assert _decide(_points(a, b), strict) is None
+            assert exactlp.motzkin_certificate(_points(a, b), (True, strict)) == farkas
 
     @pytest.mark.parametrize("scale", [F(2), F(0), F(-1)])
     @pytest.mark.parametrize("relation", [">", ">="])
@@ -317,10 +325,16 @@ class TestPlanarFeasible:
         # every b_s < 0, so (0, 1) would separate; the half-open system
         # still gets alpha > 0, from the line through (2, -1)
         points = _points([2, -1], [-1, -3])
-        assert exactlp.motzkin_certificate(points) == (F(1), F(2))
-        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: (0, 1))
+        assert exactlp.motzkin_certificate(points, (True, False)) == (F(1), F(2))
+        # on (1, 0) and (-1, -1) only (0, beta) separates: the strict pair
+        # has that certificate, and the half-open system a witness
+        closed = _points([1, -1], [0, -1])
+        assert exactlp.motzkin_certificate(closed, (True, True)) == (F(0), F(1))
+        assert _decide(closed, False).coordinates == (F(1), F(0))
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: (0, 1))
+        assert exactlp.motzkin_certificate(points, (True, True)) == (0, 1)
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            exactlp.motzkin_certificate(points)
+            exactlp.motzkin_certificate(points, (True, False))
 
     def test_corrupted_witness_raises(self, monkeypatch):
         # lam = 2/3 gives (1/3, 2/3), on the feasible segment's closure but
@@ -334,14 +348,14 @@ class TestPlanarFeasible:
     )
     def test_corrupted_certificate_raises(self, bad, monkeypatch):
         # infeasible: the only state with a > 0 has b < 0
-        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: bad)
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: bad)
         with pytest.raises(InternalInvariantError, match="lp-farkas-substitution"):
-            exactlp.motzkin_certificate(_points([1, -1], [-1, 0]))
+            exactlp.motzkin_certificate(_points([1, -1], [-1, 0]), (True, False))
 
     def test_missing_alternative_raises(self, monkeypatch):
-        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points: None)
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", lambda points, strict: None)
         with pytest.raises(InternalInvariantError, match="lp-planar-alternative"):
-            exactlp.motzkin_certificate(_points([1, -1], [-1, 0]))
+            exactlp.motzkin_certificate(_points([1, -1], [-1, 0]), (True, False))
 
 
 def reference_interval(constraints):

@@ -463,7 +463,7 @@ def reference_nesting(problem):
                   for up, uq, ur, us in zip(scaled[p], scaled[q], scaled[r], scaled[s])]
         belief = exactlp.edge_witness(points, (True, False))
         if belief is None:
-            exactlp.motzkin_certificate(points)
+            exactlp.motzkin_certificate(points, (True, False))
             return None
         value = problem.expected_payoff
         assert value(p, belief) > value(q, belief) and value(r, belief) <= value(s, belief)

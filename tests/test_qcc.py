@@ -206,27 +206,51 @@ class TestEdgeSweep:
             check_qcc(p1)
         assert raised.value.invariant == "qcc-edge-split"
 
-    @pytest.mark.parametrize("corrupt", [F(1), F(0), F(1, 5), F(5, 4)])
+    def test_failing_scan_sweeps_once_and_asks_each_triple_once(self, monkeypatch):
+        sweeps, searches = [], []
+        for name, calls in (("_edge_sweep", sweeps), ("edge_witness", searches)):
+            def spied(*args, original=getattr(qcc_module, name), calls=calls):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(qcc_module, name, spied)
+        verdict = check_qcc(DecisionProblem.from_matrix(SCAN_MATRIX))
+        assert verdict.counterexample.triple == (0, 2, 3)
+        assert len(sweeps) == 1 and len(searches) == verdict.checked_triples == 3
+
+    @pytest.mark.parametrize(
+        "corrupt", [(1, (0, 0)), (1, (1, 0)), (2, (1, 0)), (2, (-1, 2))]
+    )
     def test_corrupted_split_in_the_scan_raises(self, corrupt, monkeypatch):
-        # the sweep over all four actions finds the dip (0, 2, 3) at state 0
-        # uncorrupted; only the scan's three-action sweeps get the bad split
+        # the scan passes over (0, 1, 2) and (0, 1, 3), each on a Motzkin
+        # certificate; a bad one for either triple must not pass
         problem = DecisionProblem.from_matrix(SCAN_MATRIX)
         assert check_qcc(problem).counterexample.triple == (0, 2, 3)
-        split, pair = qcc_module._edge_split, (corrupt.numerator, corrupt.denominator)
+        (nth, bad), calls = corrupt, []
+        multipliers = exactlp._motzkin_multipliers
 
-        def corrupted(ends, j):
-            found = split(ends, j)
-            return (pair, found[1]) if len(ends) == 3 and found is not None else found
+        def corrupted(points, strict):
+            calls.append(points)
+            return bad if len(calls) == nth else multipliers(points, strict)
 
-        monkeypatch.setattr(qcc_module, "_edge_split", corrupted)
+        monkeypatch.setattr(exactlp, "_motzkin_multipliers", corrupted)
         with pytest.raises(InternalInvariantError) as raised:
             check_qcc(problem)
-        assert raised.value.invariant == "qcc-edge-split"
+        assert raised.value.invariant == "lp-farkas-substitution"
+        assert len(calls) == nth
 
     def test_scan_dip_without_an_edge_witness_raises(self, monkeypatch):
+        # (0, 2, 3) has a dip, so it has no certificate either
         monkeypatch.setattr(qcc_module, "edge_witness", lambda columns, strict: None)
         with pytest.raises(InternalInvariantError) as raised:
             check_qcc(DecisionProblem.from_matrix(SCAN_MATRIX))
+        assert raised.value.invariant == "lp-planar-alternative"
+
+    def test_sweep_dip_that_every_triple_rules_out_raises(self, p1, monkeypatch):
+        assert check_qcc(p1).holds
+        monkeypatch.setattr(qcc_module, "_edge_sweep", lambda scaled: False)
+        with pytest.raises(InternalInvariantError) as raised:
+            check_qcc(p1)
         assert raised.value.invariant == "qcc-edge-sweep"
 
     def test_one_state_reads_the_column(self):
