@@ -48,10 +48,16 @@ _MAX_STATES = 100
 _MAX_CELLS = 600
 # Largest `discretize --grid-points` output, in payoff cells (points x
 # states) and Horner steps (points x all coefficients), refused for the same
-# reason; 3 quadratics at 333,333 points take 14.2 s, but a step costs more
-# as the degree grows: 10,000 coefficients at 300 points take 121 s.
+# reason; 3 quadratics at 333,333 points take 14.2 s.  A step costs more as
+# the degree grows, since each one adds an action's bits to the exact value:
+# 10,000 coefficients at 300 points are 3 x 10**6 steps but take 121 s.  So
+# the work is bounded too, as points x the squared coefficient count of each
+# state x the squared bits of an action's numerator and denominator: one
+# state at this limit took 8.6-17.8 s, and 10,000 coefficients at 300 points
+# over [0, 3/2] are 30 times it.
 _MAX_PAYOFF_CELLS = 10**6
 _MAX_HORNER_STEPS = 3 * 10**6
+_MAX_HORNER_WORK = 4 * 10**11
 
 
 class InputFileError(ValueError):
@@ -540,6 +546,11 @@ def _discretize(args: argparse.Namespace) -> dict:
     _check_size(what, args.grid_points * len(poly.states), "payoff cells", _MAX_PAYOFF_CELLS)
     steps = args.grid_points * sum(map(len, poly.coefficients))
     _check_size(what, steps, "Horner steps", _MAX_HORNER_STEPS)
+    lo, hi = poly.interval
+    denominator = (args.grid_points - 1) * lo.denominator * hi.denominator
+    bits = denominator.bit_length() + (max(-lo, hi) * denominator).numerator.bit_length()
+    work = args.grid_points * sum(len(c) ** 2 for c in poly.coefficients) * bits ** 2
+    _check_size(what, work, "units of Horner work", _MAX_HORNER_WORK)
     return problem_to_json(poly.discretize(args.grid_points))
 
 

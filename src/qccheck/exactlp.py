@@ -211,6 +211,11 @@ def _bland_maximize(tableau: list[list[Fraction]], zrow: list[Fraction],
                     best_key = key
                     best_row = r
         if best_row < 0:
+            # No system over the simplex gets here: phase 1's objective, minus
+            # the sum of the artificials, is at most 0, and phase 2 maximizes
+            # over a bounded region (x on the simplex, 0 <= t <= 1, and each
+            # surplus or slack affine in x and t), so no improving column is
+            # unbounded.
             raise InternalInvariantError(
                 "lp-boundedness",
                 "simplex found an unbounded direction over a compact region",
@@ -292,51 +297,33 @@ def _assemble(system: LinearSystem, include_t: bool):
     """Lower a system to standard equality form.
 
     Variable layout: simplex coordinates, then (optionally) the shared strict
-    slack t, then one surplus/slack variable per inequality row.
+    slack t, then one column per inequality row, in row order, whose sign
+    each lowered row carries: -1 for a surplus (>=), +1 for a slack (<=).
     """
     d = system.dimension
     t_width = 1 if include_t else 0
-    dense_rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_signs: list[Fraction] = []  # 0: none, -1: surplus (>=), +1: slack (<=)
-
-    def push(dense: list[Fraction], r: Fraction, sign: int) -> None:
-        dense_rows.append(dense)
-        rhs.append(r)
-        slack_signs.append(Fraction(sign))
-
-    push([_ONE] * d + [_ZERO] * t_width, _ONE, 0)  # the simplex itself
-
+    lowered = [([_ONE] * d + [_ZERO] * t_width, _ONE, _ZERO)]  # the simplex itself
     for row in system.rows:
         dense = list(row.coefficients) + [_ZERO] * t_width
-        if row.relation == "==":
-            push(dense, row.rhs, 0)
-        elif row.relation == ">=":
-            push(dense, row.rhs, -1)
-        else:  # strict: c.x - t >= rhs
+        if row.relation == ">":  # c.x - t >= rhs
             dense[d] = -_ONE
-            push(dense, row.rhs, -1)
-
+        lowered.append((dense, row.rhs, _ZERO if row.relation == "==" else -_ONE))
     if include_t:
         if system.interior_required:
             for i in range(d):
                 dense = [_ZERO] * (d + 1)
-                dense[i] = _ONE
-                dense[d] = -_ONE
-                push(dense, _ZERO, -1)  # x_i >= t
-        bound = [_ZERO] * (d + 1)
-        bound[d] = _ONE
-        push(bound, _ONE, +1)  # t <= 1 keeps the auxiliary LP bounded
-
-    slack_cols = [i for i, s in enumerate(slack_signs) if s != 0]
-    num_vars = d + t_width + len(slack_cols)
-    eq_rows = []
-    for i, dense in enumerate(dense_rows):
-        full = dense + [_ZERO] * len(slack_cols)
-        if slack_signs[i] != 0:
-            full[d + t_width + slack_cols.index(i)] = slack_signs[i]
+                dense[i], dense[d] = _ONE, -_ONE
+                lowered.append((dense, _ZERO, -_ONE))  # x_i >= t
+        lowered.append(([_ZERO] * d + [_ONE], _ONE, _ONE))  # t <= 1 keeps it bounded
+    num_vars = d + t_width + sum(1 for _, _, sign in lowered if sign)
+    eq_rows, column = [], d + t_width
+    for dense, _, sign in lowered:
+        full = dense + [_ZERO] * (num_vars - len(dense))
+        if sign:
+            full[column] = sign
+            column += 1
         eq_rows.append(full)
-    return eq_rows, rhs, num_vars
+    return eq_rows, [rhs for _, rhs, _ in lowered], num_vars
 
 
 def solve(system: LinearSystem) -> LPResult:

@@ -14,14 +14,14 @@ not, then u_i - u_j > 0 and u_k - u_j > 0.  So convexity reads the
 unimodality verdict of `check_qcc`, which has already decided every dip:
 when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
 below i0 can have one.  Every pair from i0 on is searched for a gap on the
-point masses and edges of the simplex (`exactlp.edge_witness`) before any
-pair gets an exact LP, and the LPs are solved only when no point mass or
-edge of any pair has a gap.
+point masses and edges of the simplex (`exactlp.edge_witness`), and only
+when no pair has one does each pair get an exact LP on the rows its search
+read.
 The nesting questions are two-row systems, decided in the plane with no LP.
 The m - 2 chain questions are asked first, and a chain of holding links
 answers every region question above it by transitivity (see
 `check_nesting`), so on a problem whose chain holds no region question is
-asked.  The edge search and nesting read the payoffs scaled once to
+asked.  Convexity and nesting read the payoffs scaled once to
 integers (`problems.integer_payoff`): a belief comes from
 `exactlp.edge_witness`, or in nesting from `exactlp.edge_point`'s
 numerators, and in nesting "no belief" rests on a verified Motzkin
@@ -106,46 +106,39 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
     `qcc` must be `check_qcc`'s verdict for the same problem.  A gap is a
     dip, so a holding verdict means convexity holds, and a verdict failing
     at (i0, j0, k0) means no pair i < i0 has a gap: `check_qcc` found every
-    triple below i0 infeasible.  Each pair i < k with i >= i0 and k >= i + 2
-    has an LP: on the face where i and k are both optimal (one equality plus
-    global weak comparisons), maximize the sum of the gaps u_i - u_j over
-    the actions j strictly between.  Every gap is nonnegative there, so the
-    optimum is positive exactly when some belief skips a middle action.
-
-    The pairs are taken twice, in lexicographic order.  First `edge_witness`
-    looks on every pair for a point mass or edge belief that meets the
-    pair's LP rows with its objective as the one strict row; such a belief
-    is a gap.  Only when no pair has one are the pair LPs solved, in the
-    same order.  So the pair reported is the first with a point-mass or
-    edge gap, or, when there is none, the first whose LP finds a gap, with
-    j the lowest action between i and k that is not optimal at the belief.
+    triple below i0 infeasible.  Each later pair i < k, k >= i + 2, gets
+    its integer rows once: the tie u_i - u_k, the gaps u_i - u_l to the
+    other actions, and the summed gaps to the actions between.
+    `edge_witness` first looks on every pair, in lexicographic order, for a
+    point mass or edge belief with the tie 0, the other gaps >= 0 and the
+    summed gaps > 0, which is a gap.  Only when no pair has one does each
+    pair, in the same order, get an LP: maximize the summed gaps under the
+    same rows, positive exactly at a gap, as every gap is >= 0 there.  The
+    pair reported is the first found, with j the lowest action between i
+    and k that is not optimal at the belief.
     """
     if qcc.holds:
         return ConvexityVerdict(holds=True, counterexample=None)
     assert qcc.counterexample is not None
     m, first = problem.num_actions, qcc.counterexample.triple[0]
     scaled = integer_payoff(problem)
+    pairs = []
     for i in range(first, m - 2):
         gaps = [[a - b for a, b in zip(scaled[i], row)] for row in scaled]
         for k in range(i + 2, m):
-            # the pair's LP rows, its objective as the one strict row
-            rows = [gaps[k], [-d for d in gaps[k]]]
-            rows += [gaps[other] for other in range(m) if other not in (i, k)]
-            rows.append([sum(column) for column in zip(*gaps[i + 1:k])])
+            others = [gaps[other] for other in range(m) if other not in (i, k)]
+            summed = [sum(column) for column in zip(*gaps[i + 1:k])]
+            rows = [gaps[k], [-d for d in gaps[k]], *others, summed]
             belief = edge_witness(list(zip(*rows)), (False,) * (len(rows) - 1) + (True,))
             if belief is not None:
                 return _gap_verdict(problem, belief, i, k)
-    for i in range(first, m - 2):
-        for k in range(i + 2, m):
-            lp_rows = [(indifference_hyperplane(problem, i, k), "==", 0)]
-            lp_rows += [(indifference_hyperplane(problem, i, other), ">=", 0)
-                        for other in range(m) if other != i]
-            middle = [indifference_hyperplane(problem, i, j) for j in range(i + 1, k)]
-            objective = [sum(column) for column in zip(*middle)]
-            result = solve(LinearSystem.build(problem.num_states, lp_rows, objective))
-            if result.is_optimal and result.value > 0:
-                assert result.witness is not None
-                return _gap_verdict(problem, result.witness, i, k)
+            pairs.append((i, k, gaps[k], others, summed))
+    for i, k, tie, others, summed in pairs:
+        rows = [(tie, "==", 0)] + [(row, ">=", 0) for row in others]
+        result = solve(LinearSystem.build(problem.num_states, rows, summed))
+        if result.is_optimal and result.value > 0:
+            assert result.witness is not None
+            return _gap_verdict(problem, result.witness, i, k)
     return ConvexityVerdict(holds=True, counterexample=None)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -493,25 +494,44 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         # the limit counts payoff cells: 500,001 points over 2 states is over it
         assert main(["discretize", path, "--grid-points", "500001"]) == 1
+        # 10,000 coefficients at 300 points pass the step limit, but each
+        # step adds an action's bits to the exact value: about 2 minutes
+        path = write_json(tmp_path / "long.json", {
+            "interval": ["0", "3/2"], "states": ["s"], "coefficients": [["1"] * 10000]})
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["discretize", path, "--grid-points", "300", "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "qccheck: input error: --grid-points 300 over 1 states is "
+            f"{300 * 10000**2 * 20**2} units of Horner work; the limit is 400000000000\n")
 
     def test_long_polynomials_are_refused_by_their_horner_steps(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # 1,200 coefficients over 2 states: 10**6 payoff cells pass the cell
-        # limit but would run for hours; 1,250 points are 3,000,000 steps
+        # 200 coefficients over 12 states: 1,250 points are 3,000,000 steps,
+        # and the work check passes them; 80,000 points pass the cell limit
         reached = []
         monkeypatch.setattr(PolynomialProblem, "discretize",
                             lambda self, grid_points: reached.append(grid_points) or
                             DecisionProblem.from_matrix([[0]]))
-        doc = {**POLY_DOC, "coefficients": [["1"] * 1200, ["-1"] * 1200]}
+        doc = {**POLY_DOC, "states": [f"s{n}" for n in range(12)],
+               "coefficients": [["1"] * 200] * 12}
         path = write_json(tmp_path / "poly.json", doc)
-        for points in ("500000", "1251"):
+        for points in ("80000", "1251"):
             assert main(["discretize", path, "--grid-points", points]) == 1
             assert capsys.readouterr().err == (
-                f"qccheck: input error: --grid-points {points} over 2 states is "
+                f"qccheck: input error: --grid-points {points} over 12 states is "
                 f"{int(points) * 2400} Horner steps; the limit is 3000000\n")
         assert reached == []
         assert main(["discretize", path, "--grid-points", "1250"]) == 0
-        assert reached == [1250]
+        # the largest quadratic output, 3 states at 333,333 points, passes
+        path = write_json(tmp_path / "quadratics.json", {
+            "interval": ["0", "3/2"], "states": ["a", "b", "c"],
+            "coefficients": [["0", "1", "-1"]] * 3})
+        assert main(["discretize", path, "--grid-points", "333333"]) == 0
+        assert reached == [1250, 333333]
 
     def test_internal_error_emits_diagnostic_and_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an oracle/solver contradiction by monkeypatching the grid dip
@@ -902,3 +922,25 @@ class TestTracedBenchmarkSites:
             if hasattr(importlib.import_module(f"qccheck.{site}"), name)
         }
         assert present == {"dominance.solve", "dominance.strict_feasible", "geometry.solve"}
+
+    def test_traced_run_gives_every_per_layer_metric(self):
+        # `--trace 1` reads LinearSystem.rows, dimension, has_strict_rows and
+        # interior_required, LPResult.witness and slack, and
+        # QccVerdict.checked_triples from the calls it wraps; dropping one
+        # would break the traced benchmark but no name check above
+        tracing = _bench_tracing()
+        modules = {name: importlib.import_module(f"qccheck.{name}")
+                   for name in ("cli", "dominance", "qcc", "geometry")}
+        tracer = tracing.Tracer()
+        with tracer.installed(modules):
+            # action 2 is not screened, so the elimination solves its mixture LP
+            cli_module.analyze_problem(DecisionProblem.from_matrix([[4, 0], [0, 4], [2, 2]]), 4)
+            cli_module.run_harness(instances=1, max_actions=4, max_states=3, magnitude=10,
+                                   seed=1, grid=2)
+        metrics = tracing.layer_metrics(tracer.spans, 1)
+        benchmark = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        added_by_run = {"cli.parse_s", "problems.discretize.s", "trace.overhead_pct"}
+        assert set(metrics) == {row["name"] for row in benchmark["per_layer"]} - added_by_run
+        assert metrics["exactlp.calls"] > 0
+        assert [span[0] for span in tracer.spans if span[0].startswith("cli.")] == [
+            "cli.analyze_problem", "cli.run_harness"]
