@@ -48,13 +48,15 @@ _MAX_STATES = 100
 _MAX_CELLS = 600
 # Largest `discretize --grid-points` output, in payoff cells (points x
 # states) and Horner steps (points x all coefficients), refused for the same
-# reason; 3 quadratics at 333,333 points take 14.2 s.  A step costs more as
-# the degree grows, since each one adds an action's bits to the exact value:
-# 10,000 coefficients at 300 points are 3 x 10**6 steps but take 121 s.  So
-# the work is bounded too, as points x the squared coefficient count of each
-# state x the squared bits of an action's numerator and denominator: one
-# state at this limit took 8.6-17.8 s, and 10,000 coefficients at 300 points
-# over [0, 3/2] are 30 times it.
+# reason; 3 quadratics at 333,333 points take 14.2 s.  Each Horner step adds
+# an action's bits and the coefficient's denominator bits to the exact value,
+# which carries the largest numerator's bits throughout.  So the work is
+# bounded too: points x the sum over states of (coefficient count x the bits
+# of an action's numerator and denominator + the bits of the coefficients'
+# denominators + those of their largest numerator) squared.  One state at
+# this limit took 6-20 s; 10,000 coefficients at 300 points (121 s), 1,000
+# with distinct 1,000-digit denominators at 3 points (a minute) and 1,000
+# with 4,000-digit numerators at 756 points (37 s) are 30, 83 and 2.5 times it.
 _MAX_PAYOFF_CELLS = 10**6
 _MAX_HORNER_STEPS = 3 * 10**6
 _MAX_HORNER_WORK = 4 * 10**11
@@ -549,7 +551,10 @@ def _discretize(args: argparse.Namespace) -> dict:
     lo, hi = poly.interval
     denominator = (args.grid_points - 1) * lo.denominator * hi.denominator
     bits = denominator.bit_length() + (max(-lo, hi) * denominator).numerator.bit_length()
-    work = args.grid_points * sum(len(c) ** 2 for c in poly.coefficients) * bits ** 2
+    work = args.grid_points * sum(
+        (len(c) * bits + sum((v.denominator - 1).bit_length() for v in c)
+         + max(abs(v.numerator).bit_length() for v in c)) ** 2
+        for c in poly.coefficients)
     _check_size(what, work, "units of Horner work", _MAX_HORNER_WORK)
     return problem_to_json(poly.discretize(args.grid_points))
 

@@ -16,11 +16,13 @@ probability vector keeps the left side at most that maximum, so no belief
 satisfies the rows (Farkas 1902).  The certificate, too, is re-verified by
 substitution before it is returned.
 
-Strict inequalities are decided by slack maximization: each row c.x > r is
-rewritten as c.x >= r + t for a fresh variable t bounded by 1, and t is
-maximized.  The open system has a solution over the simplex if and only if
-the optimum t* is strictly positive; the compactness of the simplex makes
-this criterion exact.
+Strict inequalities are decided by maximizing a margin.  One strict row
+c.x > r, with no interiority, has the margin max c.x - r under the other
+rows.  Otherwise each strict row c.x > r is rewritten as c.x >= r + t, and
+interiority as x_i >= t, for a fresh variable t bounded by 1, and the
+margin is the maximum of t.  The open system has a solution over the
+simplex if and only if the margin is strictly positive; the compactness of
+the simplex makes this criterion exact.
 
 `edge_point` is the one search for a belief on the point masses and edges
 of the simplex, shared by `qcc`, convexity, nesting and the elimination
@@ -47,13 +49,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .problems import Belief, RationalLike, as_fraction
+from .problems import Belief, as_fraction
 
 Relation = Literal[">=", "==", ">"]
 
@@ -101,7 +103,6 @@ class LinearSystem:
 
     dimension: int
     rows: tuple[LinearRow, ...] = ()
-    objective: Optional[tuple[Fraction, ...]] = None
     interior_required: bool = False
 
     def __post_init__(self) -> None:
@@ -114,24 +115,17 @@ class LinearSystem:
                     f"row has {len(row.coefficients)} coefficients, "
                     f"system dimension is {self.dimension}"
                 )
-        if self.objective is not None:
-            objective = tuple(as_fraction(c) for c in self.objective)
-            object.__setattr__(self, "objective", objective)
-            if len(objective) != self.dimension:
-                raise ValueError("objective length must equal the system dimension")
 
     @classmethod
     def build(
         cls,
         dimension: int,
         rows: Iterable[tuple] = (),
-        objective: Optional[Sequence[RationalLike]] = None,
         interior_required: bool = False,
     ) -> "LinearSystem":
         """Construct a system from loose (coefficients, relation, rhs) triples."""
         built = tuple(LinearRow(tuple(coeffs), relation, rhs) for coeffs, relation, rhs in rows)
-        obj = None if objective is None else tuple(objective)
-        return cls(dimension, built, obj, interior_required)
+        return cls(dimension, built, interior_required)
 
     @property
     def has_strict_rows(self) -> bool:
@@ -147,15 +141,15 @@ class LPStatus(enum.Enum):
 class LPResult:
     """Outcome of an exact solve: a verdict plus a substitutable witness.
 
-    For `strict_feasible`, `slack` holds the maximized margin t*; the open
-    system is feasible exactly when t* > 0, and `witness` is present only in
-    that case.  When `solve` finds a system infeasible, `farkas` holds the
-    row multipliers that certify it (see the module docstring), aligned with
-    the system's rows.  It is None otherwise.
+    For `strict_feasible`, `slack` holds the maximized margin (see the
+    module docstring); the open system is feasible exactly when it is
+    positive, and `witness` is present only in that case.  When `solve`
+    finds a system infeasible, `farkas` holds the row multipliers that
+    certify it (see the module docstring), aligned with the system's rows.
+    It is None otherwise.
     """
 
     status: LPStatus
-    value: Optional[Fraction] = None
     witness: Optional[Belief] = None
     slack: Optional[Fraction] = None
     farkas: Optional[tuple[Fraction, ...]] = None
@@ -327,58 +321,54 @@ def _assemble(system: LinearSystem, include_t: bool):
 
 
 def solve(system: LinearSystem) -> LPResult:
-    """Exactly decide a weak system over the simplex, optimizing if asked.
+    """Exactly decide a weak system over the simplex.
 
     The system may not contain strict rows and may not require interiority;
-    use `strict_feasible` for those.  On success the witness satisfies every
-    row exactly; on infeasibility the `farkas` multipliers certify it.  Both
-    are checked by substitution before returning.
+    use `strict_feasible` for those.  A feasible system gets a witness that
+    satisfies every row exactly, an infeasible one the `farkas` multipliers
+    that certify it.  Both are checked by substitution before returning.
     """
     if system.has_strict_rows or system.interior_required:
         raise ValueError("system has strict requirements; use strict_feasible")
     eq_rows, rhs, num_vars = _assemble(system, include_t=False)
-    objective = [_ZERO] * num_vars
-    if system.objective is not None:
-        objective[: system.dimension] = list(system.objective)
-    value, x = _solve_standard_form(eq_rows, rhs, objective)
+    value, x = _solve_standard_form(eq_rows, rhs, [_ZERO] * num_vars)
     if value is None:
         farkas = tuple(-y for y in x[1:])  # row 0 is the simplex itself
         _verify_farkas(system, farkas)
         return LPResult(LPStatus.INFEASIBLE, farkas=farkas)
     witness = Belief(tuple(x[: system.dimension]))
     _verify_witness(system, witness)
-    if system.objective is not None:
-        attained = sum(
-            (c * p for c, p in zip(system.objective, witness.coordinates)), _ZERO
-        )
-        if attained != value:
-            raise InternalInvariantError(
-                "lp-witness-value", f"witness attains {attained}, solver said {value}"
-            )
-        return LPResult(LPStatus.OPTIMAL, value=value, witness=witness)
-    return LPResult(LPStatus.OPTIMAL, value=None, witness=witness)
+    return LPResult(LPStatus.OPTIMAL, witness=witness)
 
 
 def strict_feasible(system: LinearSystem) -> LPResult:
     """Decide feasibility of a system with strict rows over the closed simplex.
 
-    Rewrites each strict row c.x > r as c.x >= r + t (plus x_i >= t for every
-    coordinate when interiority is required), bounds t by 1, and maximizes t.
-    The open system has a solution iff the returned slack is positive; only
-    then is a witness attached, and it is verified to satisfy the original
-    strict rows strictly.
+    Maximizes the margin of the module docstring and returns it as `slack`.
+    The result is INFEASIBLE exactly when the system with its strict rows
+    read as >= has no solution.  The open system has one iff the margin is
+    positive; only then is a witness attached, verified to satisfy the
+    original strict rows strictly.
     """
-    eq_rows, rhs, num_vars = _assemble(system, include_t=True)
-    objective = [_ZERO] * num_vars
-    objective[system.dimension] = _ONE  # maximize the shared margin t
-    t_star, x = _solve_standard_form(eq_rows, rhs, objective)
-    if t_star is None:
+    strict = [row for row in system.rows if row.relation == ">"]
+    if len(strict) == 1 and not system.interior_required:
+        weak = replace(system, rows=[row for row in system.rows if row.relation != ">"])
+        eq_rows, rhs, num_vars = _assemble(weak, include_t=False)
+        objective = list(strict[0].coefficients) + [_ZERO] * (num_vars - system.dimension)
+        top, x = _solve_standard_form(eq_rows, rhs, objective)
+        margin = None if top is None or top < strict[0].rhs else top - strict[0].rhs
+    else:
+        eq_rows, rhs, num_vars = _assemble(system, include_t=True)
+        objective = [_ZERO] * num_vars
+        objective[system.dimension] = _ONE  # maximize the shared margin t
+        margin, x = _solve_standard_form(eq_rows, rhs, objective)
+    if margin is None:
         return LPResult(LPStatus.INFEASIBLE)
-    if t_star <= 0:
-        return LPResult(LPStatus.OPTIMAL, value=t_star, slack=t_star)
+    if margin <= 0:
+        return LPResult(LPStatus.OPTIMAL, slack=margin)
     witness = Belief(tuple(x[: system.dimension]))
     _verify_witness(system, witness)
-    return LPResult(LPStatus.OPTIMAL, value=t_star, witness=witness, slack=t_star)
+    return LPResult(LPStatus.OPTIMAL, witness=witness, slack=margin)
 
 
 def edge_witness(

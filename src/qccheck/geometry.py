@@ -15,8 +15,8 @@ unimodality verdict of `check_qcc`, which has already decided every dip:
 when it holds there is no gap, and when it fails at (i0, j0, k0) no pair
 below i0 can have one.  Every pair from i0 on is searched for a gap on the
 point masses and edges of the simplex (`exactlp.edge_witness`), and only
-when no pair has one does each pair get an exact LP on the rows its search
-read.
+when no pair has one is each pair's system, the rows its search read,
+decided over the whole simplex by `exactlp.strict_feasible`.
 The nesting questions are two-row systems, decided in the plane with no LP.
 The m - 2 chain questions are asked first, and a chain of holding links
 answers every region question above it by transitivity (see
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .exactlp import LinearSystem, edge_point, edge_witness, motzkin_certificate, solve
+from .exactlp import LinearSystem, edge_point, edge_witness, motzkin_certificate, strict_feasible
 from .problems import Belief, DecisionProblem, integer_payoff
 from .qcc import QccVerdict
 
@@ -111,11 +111,12 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
     other actions, and the summed gaps to the actions between.
     `edge_witness` first looks on every pair, in lexicographic order, for a
     point mass or edge belief with the tie 0, the other gaps >= 0 and the
-    summed gaps > 0, which is a gap.  Only when no pair has one does each
-    pair, in the same order, get an LP: maximize the summed gaps under the
-    same rows, positive exactly at a gap, as every gap is >= 0 there.  The
-    pair reported is the first found, with j the lowest action between i
-    and k that is not optimal at the belief.
+    summed gaps > 0, which is a gap.  Only when no pair has one is each
+    pair, in the same order, asked the same system over the whole simplex
+    by `strict_feasible`, which maximizes the summed gaps under the other
+    rows; a belief with them positive is a gap, as every gap is >= 0 there.
+    The pair reported is the first found, with j the lowest action between
+    i and k that is not optimal at the belief.
     """
     if qcc.holds:
         return ConvexityVerdict(holds=True, counterexample=None)
@@ -134,10 +135,9 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
                 return _gap_verdict(problem, belief, i, k)
             pairs.append((i, k, gaps[k], others, summed))
     for i, k, tie, others, summed in pairs:
-        rows = [(tie, "==", 0)] + [(row, ">=", 0) for row in others]
-        result = solve(LinearSystem.build(problem.num_states, rows, summed))
-        if result.is_optimal and result.value > 0:
-            assert result.witness is not None
+        rows = [(tie, "==", 0), *[(row, ">=", 0) for row in others], (summed, ">", 0)]
+        result = strict_feasible(LinearSystem.build(problem.num_states, rows))
+        if result.open_feasible:
             return _gap_verdict(problem, result.witness, i, k)
     return ConvexityVerdict(holds=True, counterexample=None)
 

@@ -379,9 +379,24 @@ class TestExitCodes:
             (json.dumps({"interval": ["0", "1" + "0" * 1000], "states": ["a"],
                          "coefficients": [["0", "0", "0", "0", "0", "1"]]}),
              ["discretize", "{path}", "--grid-points", "3"]),
+            ("[1, 2]", ["check-qcc", "{path}"]),
+            (json.dumps({**P1_DOC, "actions": 0}), ["check-qcc", "{path}"]),
+            (json.dumps({**P1_DOC, "payoff": [0, -4]}), ["check-qcc", "{path}"]),
+            (json.dumps({**POLY_DOC, "interval": ["0"]}),
+             ["discretize", "{path}", "--grid-points", "3"]),
+            (json.dumps({**POLY_DOC, "coefficients": ["0", "1"]}),
+             ["discretize", "{path}", "--grid-points", "3"]),
+            (json.dumps({**POLY_DOC, "interval": ["2", "2"]}),
+             ["discretize", "{path}", "--grid-points", "3"]),
+            (json.dumps(POLY_DOC), ["discretize", "{path}", "--grid-points", "1"]),
+            ("{}", ["verify-props", "--instances", "0"]),
+            ("{}", ["verify-props", "--instances", "1", "--magnitude", "0"]),
         ],
         ids=["int-states", "string-states", "5000-digit-integer", "out-in-missing-dir",
-             "100000-nested-brackets", "4301-digit-value", "5001-digit-discretize-payoff"],
+             "100000-nested-brackets", "4301-digit-value", "5001-digit-discretize-payoff",
+             "problem-not-an-object", "actions-not-a-list", "payoff-not-rows", "bad-interval",
+             "bad-coefficients", "lower-not-below-upper", "one-grid-point", "zero-instances",
+             "zero-magnitude"],
     )
     def test_unusable_file_is_one_line_input_error(self, text, argv, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -506,7 +521,28 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
         assert captured.err == (
             "qccheck: input error: --grid-points 300 over 1 states is "
-            f"{300 * 10000**2 * 20**2} units of Horner work; the limit is 400000000000\n")
+            f"{300 * (10000 * 20 + 1) ** 2} units of Horner work; the limit is 400000000000\n")
+        # the coefficients' digits count too: distinct 1,000-digit
+        # denominators each add to the exact value, so 3 points ran about a
+        # minute, and 4,000-digit numerators carry into every step, so 756
+        # points ran 37 s; both then passed the write limit
+        for name, coefficients, points, work in [
+            ("denominators", [f"1/{10**999 + 2 * k + 1}" for k in range(1000)], 3,
+             3 * (1000 * 6 + 1000 * 3319 + 1) ** 2),
+            ("numerators", [str(10**3999 + 7 * k + 1) for k in range(1000)], 756,
+             756 * (1000 * 23 + 13285) ** 2),
+        ]:
+            path = write_json(tmp_path / f"{name}.json", {
+                "interval": ["0", "3/2"], "states": ["s"], "coefficients": [coefficients]})
+            start = time.perf_counter()
+            assert main(["discretize", path, "--grid-points", str(points),
+                         "--out", str(out)]) == 1
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == (
+                f"qccheck: input error: --grid-points {points} over 1 states is "
+                f"{work} units of Horner work; the limit is 400000000000\n")
 
     def test_long_polynomials_are_refused_by_their_horner_steps(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -921,7 +957,8 @@ class TestTracedBenchmarkSites:
             for site in tracing.LP_SITES for name in tracing.LP_FUNCTIONS
             if hasattr(importlib.import_module(f"qccheck.{site}"), name)
         }
-        assert present == {"dominance.solve", "dominance.strict_feasible", "geometry.solve"}
+        assert present == {"dominance.solve", "dominance.strict_feasible",
+                           "geometry.strict_feasible"}
 
     def test_traced_run_gives_every_per_layer_metric(self):
         # `--trace 1` reads LinearSystem.rows, dimension, has_strict_rows and

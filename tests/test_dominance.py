@@ -68,6 +68,10 @@ class TestMixedDominanceCertificate:
     def test_essential_action_has_no_certificate(self, p1):
         assert mixed_dominance_certificate(p1, 1) is None
 
+    def test_one_action_has_nothing_to_mix(self):
+        with pytest.raises(ValueError, match="at least two actions"):
+            mixed_dominance_certificate(DecisionProblem.from_matrix([[1, 2]]), 0)
+
     def test_exactly_one_side_exists_on_random_problems(self):
         # exact LP duality: witness xor certificate, for every action of
         # every instance (the certificate call itself re-checks and raises

@@ -24,15 +24,24 @@ from qccheck import (
 from qccheck.problems import integer_payoff
 
 
-def system(dim, rows=(), objective=None, interior=False):
-    return LinearSystem.build(dim, rows, objective, interior)
+def system(dim, rows=(), interior=False):
+    return LinearSystem.build(dim, rows, interior)
+
+
+def maximized(dim, rows, objective):
+    """`strict_feasible` on the rows and objective . x > 0, which it decides
+    by maximizing objective . x under the rows: the margin is that maximum."""
+    return strict_feasible(system(dim, [*rows, (objective, ">", 0)]))
 
 
 class TestSolve:
+    """Weak systems by `solve`, and the one-strict-row systems that
+    `strict_feasible` decides by maximizing the strict row."""
+
     def test_maximize_first_coordinate(self):
-        result = solve(system(2, objective=[1, 0]))
+        result = maximized(2, [], [1, 0])
         assert result.status is LPStatus.OPTIMAL
-        assert result.value == 1
+        assert result.slack == 1
         assert result.witness.coordinates == (F(1), F(0))
 
     def test_infeasible_bound(self):
@@ -41,25 +50,29 @@ class TestSolve:
         assert result.witness is None
 
     def test_constant_row_objective(self):
-        # expected payoff of the first fixture's lowest action as objective
-        result = solve(system(2, objective=[0, -4]))
-        assert result.value == 0
+        # expected payoff of the first fixture's lowest action as objective:
+        # its maximum 0 is the margin, so the open system has no witness
+        result = maximized(2, [], [0, -4])
+        assert result.status is LPStatus.OPTIMAL
+        assert result.slack == 0
+        assert result.witness is None
+        # a lower bound leaves the maximum's point mass as the witness
+        result = strict_feasible(system(2, [((0, -4), ">", -1)]))
+        assert result.slack == 1
         assert result.witness.coordinates == (F(1), F(0))
 
     def test_equality_pins_witness(self):
-        result = solve(system(2, rows=[((1, -1), "==", 0)], objective=[1, 0]))
-        assert result.value == F(1, 2)
+        result = maximized(2, [((1, -1), "==", 0)], [1, 0])
+        assert result.slack == F(1, 2)
         assert result.witness.coordinates == (F(1, 2), F(1, 2))
 
     def test_redundant_equalities_are_harmless(self):
-        result = solve(
-            system(
-                3,
-                rows=[((1, 1, 1), "==", 1), ((2, 2, 2), "==", 2), ((1, 0, 0), "==", 0)],
-                objective=[0, 0, 1],
-            )
+        result = maximized(
+            3,
+            [((1, 1, 1), "==", 1), ((2, 2, 2), "==", 2), ((1, 0, 0), "==", 0)],
+            [0, 0, 1],
         )
-        assert result.value == 1
+        assert result.slack == 1
         assert result.witness.coordinates == (F(0), F(0), F(1))
 
     def test_rejects_strict_rows(self):
@@ -73,11 +86,10 @@ class TestSolve:
             system(3, rows=[((1, 0), ">=", 0)])
 
     def test_deterministic(self):
-        sys_a = system(3, rows=[((1, 2, -1), ">=", 0)], objective=[1, -1, 2])
-        first = solve(sys_a)
+        first = maximized(3, [((1, 2, -1), ">=", 0)], [1, -1, 2])
         for _ in range(3):
-            again = solve(sys_a)
-            assert again.value == first.value
+            again = maximized(3, [((1, 2, -1), ">=", 0)], [1, -1, 2])
+            assert again.slack == first.slack
             assert again.witness.coordinates == first.witness.coordinates
 
 
@@ -111,6 +123,27 @@ class TestStrictFeasible:
         assert result.open_feasible
         assert result.witness.coordinates == (F(1, 3), F(1, 3), F(1, 3))
         assert result.slack == F(1, 3)
+
+    def test_infeasible_exactly_when_the_weak_reading_is(self):
+        # with its strict rows read as >=, the system has a solution exactly
+        # when `strict_feasible` does not answer INFEASIBLE, on one strict
+        # row (the maximized row) and on several (the shared slack)
+        rng = SplitMix64(3301)
+        seen = {(one, status): 0 for one in (True, False) for status in LPStatus}
+        for _ in range(400):
+            sys_r = _random_system(rng, rng.next_int(1, 4), rng.next_int(1, 4))
+            strict_rows = sum(row.relation == ">" for row in sys_r.rows)
+            if not strict_rows:
+                continue
+            weak = system(sys_r.dimension, [
+                (row.coefficients, "==" if row.relation == "==" else ">=", row.rhs)
+                for row in sys_r.rows])
+            result = strict_feasible(sys_r)
+            assert result.status == solve(weak).status
+            if result.open_feasible:
+                assert all(row.satisfied_by(result.witness.coordinates) for row in sys_r.rows)
+            seen[strict_rows == 1, result.status] += 1
+        assert min(seen.values()) > 10, seen
 
     def test_witness_respects_weak_and_equality_rows(self):
         result = strict_feasible(
@@ -471,7 +504,10 @@ class TestStrictAgainstGridOracle:
 
 
 class TestAgainstScipy:
-    """Float cross-check of optimal values on random weak systems."""
+    """Float cross-check of one-strict-row margins on random systems: the
+    margin of objective . x > 0 under weak rows is scipy's maximum of
+    objective . x, and the system is infeasible exactly when that maximum
+    is negative or the weak rows have no solution."""
 
     def test_optimal_values_match(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -485,8 +521,7 @@ class TestAgainstScipy:
                 coeffs = tuple(F(rng.next_int(-4, 4)) for _ in range(dim))
                 rows.append((coeffs, ">=", F(rng.next_int(-2, 1))))
             objective = tuple(F(rng.next_int(-5, 5)) for _ in range(dim))
-            sys_r = LinearSystem.build(dim, rows, objective)
-            exact = solve(sys_r)
+            exact = maximized(dim, rows, objective)
 
             a_ub = [[-float(c) for c in row[0]] for row in rows]
             b_ub = [-float(row[2]) for row in rows]
@@ -500,10 +535,10 @@ class TestAgainstScipy:
                 method="highs",
             )
             if exact.status is LPStatus.INFEASIBLE:
-                assert res.status == 2
+                assert res.status == 2 or -res.fun < -1e-8
             else:
                 assert res.status == 0
-                assert abs(float(exact.value) - (-res.fun)) < 1e-8
+                assert abs(float(exact.slack) - (-res.fun)) < 1e-8
                 compared += 1
         assert compared > 20
 

@@ -38,13 +38,13 @@ def _triple_gap(problem, i, j, k):
 
 def _counted_solves(monkeypatch):
     calls = []
-    solve = geometry.solve
+    decide = geometry.strict_feasible
 
-    def counting_solve(system):
+    def counting(system):
         calls.append(system)
-        return solve(system)
+        return decide(system)
 
-    monkeypatch.setattr(geometry, "solve", counting_solve)
+    monkeypatch.setattr(geometry, "strict_feasible", counting)
     return calls
 
 
@@ -151,7 +151,7 @@ def _routed(problem, monkeypatch, search=True):
     search misses and every pair gets its LP."""
     qcc = check_qcc(problem)
     events = []
-    edge_witness, solve = geometry.edge_witness, geometry.solve
+    edge_witness, decide = geometry.edge_witness, geometry.strict_feasible
 
     def searched(*args):
         belief = edge_witness(*args) if search else None
@@ -160,11 +160,11 @@ def _routed(problem, monkeypatch, search=True):
 
     def solved(system):
         events.append("lp")
-        return solve(system)
+        return decide(system)
 
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "edge_witness", searched)
-        patch.setattr(geometry, "solve", solved)
+        patch.setattr(geometry, "strict_feasible", solved)
         return check_argmax_convexity(problem, qcc), events
 
 
@@ -281,7 +281,7 @@ class TestArgmaxConvexity:
 class TestEdgeSearch:
     """The edge search on every pair before any pair LP, against the LP
     route: a belief found on a point mass or an edge satisfies the pair
-    LP's rows with a positive objective, so it is a gap, and the LPs are
+    LP's rows with its strict row positive, so it is a gap, and the LPs are
     solved only when no pair has one."""
 
     @pytest.mark.parametrize("shape", sorted(ROUTE_PROBLEMS))
@@ -407,7 +407,7 @@ class TestNesting:
             raise AssertionError("nesting ran the simplex")
 
         monkeypatch.setattr(exactlp, "_solve_standard_form", no_simplex)
-        monkeypatch.setattr(geometry, "solve", no_simplex)
+        monkeypatch.setattr(geometry, "strict_feasible", no_simplex)
         failures = 0
         for seed in range(30):
             problem = random_problem(

@@ -59,8 +59,8 @@ def _corrupt_edge_belief(monkeypatch):
 def _corrupt_lp_belief(monkeypatch):
     # the pair LP claims a gap at the point mass, where only action 0 is optimal
     monkeypatch.setattr(geometry, "edge_witness", lambda columns, strict: None)
-    monkeypatch.setattr(geometry, "solve", lambda system: LPResult(
-        LPStatus.OPTIMAL, value=F(1), witness=POINT_MASS))
+    monkeypatch.setattr(geometry, "strict_feasible", lambda system: LPResult(
+        LPStatus.OPTIMAL, witness=POINT_MASS, slack=F(1)))
     check_argmax_convexity(DIPPING, check_qcc(DIPPING))
 
 
@@ -113,10 +113,10 @@ def _lp_witness_off_its_row(monkeypatch):
     solve(LinearSystem.build(2, [((1, 0), ">=", F(1, 2))]))
 
 
-def _lp_witness_off_its_value(monkeypatch):
-    # the point mass on state 1 attains 0, not the claimed 1
+def _lp_witness_off_its_strict_row(monkeypatch):
+    # x0 > 0 is maximized; the point mass on state 1 attains 0, not the claimed 1
     monkeypatch.setattr(exactlp, "_solve_standard_form", _solved_as(F(1), [0, 1]))
-    solve(LinearSystem.build(2, [], objective=(1, 0)))
+    strict_feasible(LinearSystem.build(2, [((1, 0), ">", 0)]))
 
 
 def _corrupt_qcc_verdict(monkeypatch):
@@ -159,7 +159,7 @@ def _corrupt_edge_sweep(monkeypatch):
 def _corrupt_unique_witness(monkeypatch):
     # action 1 is uniquely optimal at the middle, not at the point mass
     monkeypatch.setattr(dominance, "strict_feasible", lambda system: LPResult(
-        LPStatus.OPTIMAL, value=F(1), witness=POINT_MASS, slack=F(1)))
+        LPStatus.OPTIMAL, witness=POINT_MASS, slack=F(1)))
     unique_optimality_witness(UNIMODAL, 1)
 
 
@@ -194,7 +194,7 @@ FAULTS = [
     ("lp-planar-alternative", _missing_planar_alternative),
     ("lp-witness-interior", _boundary_strict_witness),
     ("lp-witness-substitution", _lp_witness_off_its_row),
-    ("lp-witness-value", _lp_witness_off_its_value),
+    ("lp-witness-substitution", _lp_witness_off_its_strict_row),
     ("oracle-lp-consistency", _corrupt_qcc_verdict),
     ("oracle-lp-consistency", _corrupt_convexity_verdict),
     ("post-elimination-certification", _corrupt_survivor_witness),
@@ -229,5 +229,5 @@ def _raised_names():
 
 def test_every_invariant_name_has_a_row():
     names = _raised_names()
-    assert len(names) >= 18
+    assert len(names) >= 17
     assert names == {invariant for invariant, _ in FAULTS}
