@@ -7,8 +7,9 @@ matrix; polynomial files carry an `interval` and per-state ascending-power
 so reports round-trip exactly.
 
 Exit codes: 0 analysis completed (verdicts live inside the report),
-1 malformed input, 2 violated internal invariant (accompanied by a
-machine-readable diagnostic naming the invariant and the pipeline stage).
+1 malformed input or an unwritable output, 2 violated internal invariant
+(accompanied by a machine-readable diagnostic naming the invariant and the
+pipeline stage).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
@@ -479,10 +480,22 @@ def _check_out(out: Optional[str]) -> None:
         raise InputFileError(f"cannot write {path}: it is a directory")
 
 
+def _print(text: str) -> None:
+    """Print to stdout.  A stdout that cannot take the text, such as a full
+    disk or a pipe closed by its reader, is an input error; fd 1 then points
+    at the null device, so the flush at interpreter exit cannot fail again."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        with suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputFileError(f"cannot write standard output: {exc}") from exc
+
+
 def _write_report(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, indent=2)
     if out is None:
-        print(text)
+        _print(text)
         return
     out = _out_path(out)
     try:
@@ -556,6 +569,21 @@ def _discretize(args: argparse.Namespace) -> dict:
          + max(abs(v.numerator).bit_length() for v in c)) ** 2
         for c in poly.coefficients)
     _check_size(what, work, "units of Horner work", _MAX_HORNER_WORK)
+    # p(N / denominator) has a numerator below len * max |n_k| * L * reach^deg,
+    # L the lcm of the coefficients' denominators, and a denominator dividing
+    # L * denominator^deg, no larger unless p = 0.  Refuse that bound past the
+    # digit limit of `str`, without growing L or building a power far past it.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    cap, reach = 10**limit, max((max(-lo, hi) * denominator).numerator, denominator)
+    for c in poly.coefficients:
+        lcm = 1
+        for v in c:
+            if lcm < cap:
+                lcm = math.lcm(lcm, v.denominator)
+        top, degree = len(c) * max(abs(v.numerator) for v in c) * lcm, len(c) - 1
+        if top and ((reach.bit_length() - 1) * degree >= cap.bit_length()
+                    or top * reach**degree >= cap):
+            raise InputFileError(f"{what} may write a payoff past the {limit}-digit limit")
     return problem_to_json(poly.discretize(args.grid_points))
 
 
@@ -638,17 +666,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _check_out(args.out)
-        _write_report(args.handler(args), args.out)
+        try:
+            args = build_parser().parse_args(argv)
+            _check_out(args.out)
+            _write_report(args.handler(args), args.out)
+        except InternalInvariantError as exc:
+            diagnostic = {"error": "internal-invariant-violation", "invariant": exc.invariant,
+                          "stage": exc.stage, "details": exc.details}
+            _print(json.dumps(diagnostic, indent=2))
+            return 2
     except InputFileError as exc:
         print(f"qccheck: input error: {exc}", file=sys.stderr)
         return 1
-    except InternalInvariantError as exc:
-        diagnostic = {"error": "internal-invariant-violation", "invariant": exc.invariant,
-                      "stage": exc.stage, "details": exc.details}
-        print(json.dumps(diagnostic, indent=2))
-        return 2
     return 0
 
 

@@ -27,14 +27,15 @@ Caratheodory argument that brings two strict rows to an edge (see `qcc`)
 does not reach m - 1 of them.  The mixture LP settles what the screen
 leaves.
 
-The elimination runs on the problem's scaled payoffs (`integer_payoff`),
-as one positive scale changes no sign: duplicates are equal scaled rows,
-and every belief is a `Point`, integer numerators over one denominator.
-The screens and the Farkas ray give such points, the interior step computes
-its e and the stepped numerators in integers, and every "uniquely best"
-check is an integer dot product with the numerators.  Fractions are first
-built at the end: one `Belief` per survivor, after its point is re-checked
-in integers on the surviving rows.
+Everything here decides on the payoffs scaled once to integers
+(`DecisionProblem.scaled_payoff`), as one positive scale changes no sign:
+duplicates are equal scaled rows, both LPs are posed on integer rows, and
+every belief is a `Point`, integer numerators over one denominator.  The
+screens and the Farkas ray give such points, the interior step computes its
+e and the stepped numerators in integers, and every "uniquely best" check is
+an integer dot product.  A mixture is checked on the integer rows and once
+more on the input payoffs.  Fractions are first built at the end: one
+`Belief` per survivor, after its point is re-checked on the surviving rows.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Literal, Optional, Sequence
 
 from .errors import InternalInvariantError
 from .exactlp import LinearSystem, edge_point, solve, strict_feasible
-from .problems import Belief, DecisionProblem, integer_payoff
+from .problems import Belief, DecisionProblem
 
 RemovalReason = Literal["duplicate", "mixed-dominated"]
 
@@ -97,13 +99,11 @@ def unique_optimality_witness(
     belief).
     """
     problem._check_action(action_index)
-    target = problem.payoff[action_index]
-    rows = []
-    for j in range(problem.num_actions):
-        if j == action_index:
-            continue
-        other = problem.payoff[j]
-        rows.append((tuple(a - b for a, b in zip(target, other)), ">", 0))
+    target = problem.scaled_payoff[action_index]
+    rows = [
+        (tuple(map(operator.sub, target, other)), ">", 0)
+        for j, other in enumerate(problem.scaled_payoff) if j != action_index
+    ]
     system = LinearSystem.build(problem.num_states, rows, interior_required=True)
     result = strict_feasible(system)
     if not result.open_feasible:
@@ -131,37 +131,35 @@ def mixed_dominance_certificate(
     interior belief where the action is uniquely optimal, and that belief is
     re-verified by substitution, so an absent mixture is certified too.
     """
-    return _duality_check(problem, action_index, integer_payoff(problem))[0]
-
-
-def _duality_check(
-    problem: DecisionProblem, action_index: int, scaled: Sequence[Sequence[int]]
-) -> tuple[Optional[tuple[Fraction, ...]], Optional[Point]]:
-    """Both sides of one action's dominance duality from the mixture LP:
-    (dominating mixture weights, None), or (None, an interior point where
-    the action is uniquely optimal) stepped from the LP's Farkas
-    certificate.  `scaled` holds the payoffs times one positive integer."""
     problem._check_action(action_index)
     if problem.num_actions < 2:
         raise ValueError("mixed dominance needs at least two actions")
-    others = [j for j in range(problem.num_actions) if j != action_index]
-    target = problem.payoff[action_index]
-    rows = []
-    for state in range(problem.num_states):
-        coeffs = tuple(problem.payoff[j][state] for j in others)
-        rows.append((coeffs, ">=", target[state]))
-    result = solve(LinearSystem.build(len(others), rows))
+    return _duality_check(problem.scaled_payoff, action_index)[0]
+
+
+def _duality_check(
+    rows: Sequence[Sequence[int]], action_index: int
+) -> tuple[Optional[tuple[Fraction, ...]], Optional[Point]]:
+    """Both sides of one action's dominance duality from the mixture LP on
+    the integer rows: (dominating mixture weights, None), or (None, an
+    interior point where the action is uniquely optimal) stepped from the
+    LP's Farkas certificate."""
+    others = [j for j in range(len(rows)) if j != action_index]
+    result = solve(LinearSystem.build(len(others), [
+        (tuple(rows[j][state] for j in others), ">=", value)
+        for state, value in enumerate(rows[action_index])
+    ]))
     if not result.is_optimal:
         assert result.farkas is not None
         # the ray, normalized, is its integer multiple over that multiple's sum
         scale = math.lcm(*(lam.denominator for lam in result.farkas))
         ray = [lam.numerator * (scale // lam.denominator) for lam in result.farkas]
-        return None, _interior_witness(scaled, action_index, (ray, sum(ray)))
+        return None, _interior_witness(rows, action_index, (ray, sum(ray)))
     assert result.witness is not None
-    weights = [Fraction(0)] * problem.num_actions
+    weights = [Fraction(0)] * len(rows)
     for j, w in zip(others, result.witness.coordinates):
         weights[j] = w
-    _verify_mixture(problem, action_index, tuple((j, w) for j, w in enumerate(weights) if w))
+    _verify_mixture(rows, action_index, tuple((j, w) for j, w in enumerate(weights) if w))
     return tuple(weights), None
 
 
@@ -242,19 +240,18 @@ def _screened_witness(rows: Sequence[Sequence[int]], action_index: int) -> Optio
 
 
 def _verify_mixture(
-    problem: DecisionProblem, target: int, mixture: tuple[tuple[int, Fraction], ...]
+    rows: Sequence[Sequence[Rational]], target: int, mixture: tuple[tuple[int, Fraction], ...]
 ) -> None:
     """Check that a mixture, as (action, weight) pairs with every weight
-    positive and the target left out, matches or beats the target in every
-    state."""
+    positive and the target left out, matches or beats the target's row in
+    every state."""
     if (any(j == target or w <= 0 for j, w in mixture)
             or sum((w for _, w in mixture), Fraction(0)) != 1):
         raise InternalInvariantError(
             "dominance-mixture-shape", f"bad mixture {mixture} for action {target}"
         )
-    for state in range(problem.num_states):
-        mixed = sum((w * problem.payoff[j][state] for j, w in mixture), Fraction(0))
-        if mixed < problem.payoff[target][state]:
+    for state, value in enumerate(rows[target]):
+        if sum((w * rows[j][state] for j, w in mixture), Fraction(0)) < value:
             raise InternalInvariantError(
                 "dominance-mixture-substitution",
                 f"mixture {mixture} fails to dominate action {target} in state {state}",
@@ -280,7 +277,7 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
     """
     removed: list[RemovedAction] = []
 
-    scaled = integer_payoff(problem)
+    scaled = problem.scaled_payoff
     seen: dict[tuple[int, ...], int] = {}
     active: list[int] = []
     for i, row in enumerate(scaled):
@@ -294,7 +291,6 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
 
     found: dict[int, Point] = {}
     rows = [scaled[i] for i in active]
-    surviving = problem.restrict_actions(active)
     position = 0
     while 1 < len(active) and position < len(active):
         screened = _screened_witness(rows, position)
@@ -302,7 +298,7 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
             found[active[position]] = _interior_witness(rows, position, screened)
             position += 1
             continue
-        weights, witness = _duality_check(surviving, position, rows)
+        weights, witness = _duality_check(rows, position)
         if weights is None:
             found[active[position]] = witness
             position += 1
@@ -311,7 +307,6 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
         removed.append(RemovedAction(active[position], "mixed-dominated", mixture))
         del active[position]
         del rows[position]
-        surviving = problem.restrict_actions(active)
 
     n = problem.num_states
     witnesses = []
@@ -329,10 +324,10 @@ def iterated_elimination(problem: DecisionProblem) -> EliminationReport:
 
     # each stored certificate, re-checked against the input payoffs
     for removal in removed:
-        _verify_mixture(problem, removal.original_index, removal.mixture)
+        _verify_mixture(problem.payoff, removal.original_index, removal.mixture)
 
     return EliminationReport(
-        surviving=surviving,
+        surviving=problem.restrict_actions(active),
         surviving_indices=tuple(active),
         removed=tuple(removed),
         witnesses=tuple(witnesses),

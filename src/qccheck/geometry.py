@@ -22,7 +22,7 @@ The m - 2 chain questions are asked first, and a chain of holding links
 answers every region question above it by transitivity (see
 `check_nesting`), so on a problem whose chain holds no region question is
 asked.  Convexity and nesting read the payoffs scaled once to
-integers (`problems.integer_payoff`): a belief comes from
+integers (`DecisionProblem.scaled_payoff`): a belief comes from
 `exactlp.edge_witness`, or in nesting from `exactlp.edge_point`'s
 numerators, and in nesting "no belief" rests on a verified Motzkin
 (alpha, beta) from `exactlp.motzkin_certificate`.  Every reported failure
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .exactlp import LinearSystem, edge_point, edge_witness, motzkin_certificate, strict_feasible
-from .problems import Belief, DecisionProblem, integer_payoff
+from .problems import Belief, DecisionProblem
 from .qcc import QccVerdict
 
 
@@ -122,7 +122,7 @@ def check_argmax_convexity(problem: DecisionProblem, qcc: QccVerdict) -> Convexi
         return ConvexityVerdict(holds=True, counterexample=None)
     assert qcc.counterexample is not None
     m, first = problem.num_actions, qcc.counterexample.triple[0]
-    scaled = integer_payoff(problem)
+    scaled = problem.scaled_payoff
     pairs = []
     for i in range(first, m - 2):
         gaps = [[a - b for a, b in zip(scaled[i], row)] for row in scaled]
@@ -178,7 +178,7 @@ def check_nesting(problem: DecisionProblem) -> NestingReport:
     question is settled with no belief to find.  Only a pair (i, j) with a
     failing link k, i <= k <= j - 2, is asked, in (i, j) order.
     """
-    scaled = integer_payoff(problem)
+    scaled = problem.scaled_payoff
     m = problem.num_actions
     chain_failures = []
     for i in range(m - 2):

@@ -11,7 +11,7 @@ states by the lowest optimal action of their point-mass beliefs turns any
 whole-simplex-unimodal problem into one that passes the (relaxed) check.
 
 Both read signs and maxima off the problem's scaled payoffs
-(`problems.integer_payoff`), which one positive scale leaves unchanged.
+(`DecisionProblem.scaled_payoff`), which one positive scale leaves unchanged.
 Fractions are first built for the report: `check_lsc` builds the
 `DifferenceVector` of the failing action only, and a holding check builds
 none.
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .problems import (
-    DecisionProblem,
-    DifferenceVector,
-    QuasiMonotoneMode,
-    integer_payoff,
-    is_quasi_monotone,
-)
+from .problems import DecisionProblem, DifferenceVector, QuasiMonotoneMode, is_quasi_monotone
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ def check_lsc(
     """Check that every difference vector is quasi-monotone in the given
     mode; the first failing action is reported.  The signs are read off
     the scaled payoffs, and only the failing action's vector is built."""
-    rows = integer_payoff(problem)
+    rows = problem.scaled_payoff
     entries = [0] * problem.num_states
     for i in range(problem.num_actions):
         if i:
@@ -105,7 +99,7 @@ def lowest_optimal_action(problem: DecisionProblem, state_index: int) -> int:
     i.e. the minimum of the optimal-action set under the point-mass belief;
     read off the scaled payoffs."""
     problem._check_state(state_index)
-    column = [row[state_index] for row in integer_payoff(problem)]
+    column = [row[state_index] for row in problem.scaled_payoff]
     return column.index(max(column))
 
 

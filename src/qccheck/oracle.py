@@ -34,7 +34,7 @@ from itertools import combinations, pairwise
 from operator import add, mul
 from typing import Iterator, Optional
 
-from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
+from .problems import Belief, DecisionProblem, is_unimodal
 
 # A grid belief with its witnessing action triple.
 GridFinding = tuple[Belief, tuple[int, int, int]]
@@ -99,11 +99,11 @@ def _grid_walk(
     problem: DecisionProblem, spec: GridSpec
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield each grid belief's numerators, in `grid_beliefs` order, with its
-    profile on `integer_payoff` times the denominator.  A step (q, r) adds
+    profile on `scaled_payoff` times the denominator.  A step (q, r) adds
     column q-1 - column q + r (last column - column q): O(m), not O(mn)."""
     if spec.dimension != problem.num_states:
         raise ValueError("grid dimension does not match the state count")
-    columns = list(zip(*integer_payoff(problem)))
+    columns = list(zip(*problem.scaled_payoff))
     last = columns[-1]
     toward = [[0] * len(last)] + [[a - b for a, b in zip(c, d)] for c, d in pairwise(columns)]
     carry = [[a - b for a, b in zip(last, column)] for column in columns]
@@ -218,7 +218,7 @@ def find_grid_gap(problem: DecisionProblem, spec: GridSpec) -> Optional[GridFind
     than four states pad the front with parts held at 0."""
     if spec.dimension != problem.num_states:
         raise ValueError("grid dimension does not match the state count")
-    rows = integer_payoff(problem)
+    rows = problem.scaled_payoff
     pairs = [(i, k) for i, k in combinations(range(len(rows)), 2) if k > i + 1]
     if not pairs:
         return None

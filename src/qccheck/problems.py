@@ -7,12 +7,12 @@ made anywhere in the toolkit is a true arithmetic fact rather than a
 floating-point approximation.
 
 Each problem also carries one cached copy of its payoffs scaled to integers
-by their common denominator (`DecisionProblem.scaled_payoff`, read through
-`integer_payoff`).  Every sign of a payoff difference and every comparison
-of expected payoffs survives one positive common factor, so the stages
-decide on these integers, and on beliefs kept as integer numerators over one
-denominator; a `Belief` of Fractions is built (`Belief.from_numerators`)
-only for what a report prints.
+by their common denominator (`DecisionProblem.scaled_payoff`).  Every sign
+of a payoff difference and every comparison of expected payoffs survives
+one positive common factor, so the stages decide on these integers, and on
+beliefs kept as integer numerators over one denominator; a `Belief` of
+Fractions is built (`Belief.from_numerators`) only for what a report
+prints.
 
 The public constructors validate and coerce every field.  What is derived
 from a validated object is not validated again: `restrict_actions` and
@@ -185,8 +185,9 @@ class DecisionProblem:
 
     @cached_property
     def scaled_payoff(self) -> tuple[tuple[int, ...], ...]:
-        """The payoff matrix times the common denominator of all entries,
-        computed once per problem; see `integer_payoff`."""
+        """Payoff matrix scaled by the common denominator of all entries,
+        computed once per problem: the planar decisions, dominance and its
+        LPs, the LSC check and the grid searches all decide on it."""
         scale = math.lcm(*(value.denominator for row in self.payoff for value in row))
         return tuple(
             tuple(value.numerator * (scale // value.denominator) for value in row)
@@ -362,19 +363,6 @@ class PolynomialProblem:
             for a in actions
         )
         return DecisionProblem(actions, self.states, payoff)
-
-
-def integer_payoff(problem: DecisionProblem) -> tuple[tuple[int, ...], ...]:
-    """Payoff matrix scaled by the common denominator of all entries.
-
-    Every comparison between expected payoffs, and every sign of a payoff
-    difference, survives one positive common factor, so the planar
-    decisions, the elimination, the LSC check and the grid searches run on
-    these plain integers.  The matrix is the problem's cached
-    `scaled_payoff`, so each problem is scaled once however many stages
-    read it.
-    """
-    return problem.scaled_payoff
 
 
 def is_unimodal(values: Sequence[Fraction]) -> bool:

@@ -10,7 +10,7 @@ problem is unimodal everywhere exactly when it is unimodal on each of the
 C(n, 2) edges of the simplex.
 
 The edge sweep decides this first, on the payoffs scaled once to integers
-(`problems.integer_payoff`).  On edge (s, t) the expected payoffs are m
+(`DecisionProblem.scaled_payoff`).  On edge (s, t) the expected payoffs are m
 lines in lam, the weight on t.  For each middle action j, L_j is the closed
 interval where no earlier action beats j and R_j the one where no later
 action does, each an intersection of half-lines (`exactlp.segment_interval`);
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .exactlp import edge_witness, motzkin_certificate, segment_interval
-from .problems import Belief, DecisionProblem, integer_payoff, is_unimodal
+from .problems import Belief, DecisionProblem, is_unimodal
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def check_qcc(problem: DecisionProblem) -> QccVerdict:
     an `edge_witness` belief is the counterexample, and each one before it
     gets a Motzkin certificate.  With fewer than three actions it holds.
     """
-    scaled = integer_payoff(problem)
+    scaled = problem.scaled_payoff
     if _edge_sweep(scaled):
         return QccVerdict(
             holds=True, counterexample=None, checked_triples=math.comb(problem.num_actions, 3)

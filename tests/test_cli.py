@@ -543,6 +543,31 @@ class TestExitCodes:
             assert captured.err == (
                 f"qccheck: input error: --grid-points {points} over 1 states is "
                 f"{work} units of Horner work; the limit is 400000000000\n")
+        # the written payoffs' digits are bounded too: 4,000-digit numerators
+        # at 342 points pass the work check, then ran 28 s to pass the write
+        # limit, while 5,000 ones at 3 points write 3,011-digit parts
+        for name, coefficients, points, code in [
+            ("unwritable", [str(10**3999 + k) for k in range(1000)], 342, 1),
+            ("writable", ["1"] * 5000, 3, 0),
+        ]:
+            if code == 0:
+                monkeypatch.undo()
+            path = write_json(tmp_path / f"{name}.json", {
+                "interval": ["0", "3/2"], "states": ["s"], "coefficients": [coefficients]})
+            start = time.perf_counter()
+            assert main(["discretize", path, "--grid-points", str(points),
+                         "--out", str(out)]) == code
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            if code:
+                assert not out.exists()
+                assert captured.err == (
+                    f"qccheck: input error: --grid-points {points} over 1 states "
+                    "may write a payoff past the 4300-digit limit\n")
+            else:
+                assert captured.err == ""
+                assert len(json.loads(out.read_text())["payoff"]) == points
 
     def test_long_polynomials_are_refused_by_their_horner_steps(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -638,6 +663,43 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["qcc"]["holds"] is True
+
+    # a report, and an exit-2 diagnostic forced by a nesting check that raises
+    FORCED_DIAGNOSTIC = (
+        "import sys, qccheck.cli as cli\n"
+        "def broken(problem):\n"
+        "    raise cli.InternalInvariantError('nesting-chain', 'forced')\n"
+        "cli.check_nesting = broken\n"
+        "sys.exit(cli.main(['verify-props', '--instances', '5']))\n"
+    )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        ["-m", "qccheck", "verify-props", "--instances", "5"],
+        ["-c", FORCED_DIAGNOSTIC],
+    ], ids=["report", "diagnostic"])
+    def test_full_stdout_is_one_input_error(self, args):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *args], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("qccheck: input error: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_closed_pipe_is_one_input_error(self, tmp_path):
+        # the report is far larger than a pipe's buffer, and its reader
+        # closes the pipe after the first line
+        path = write_json(tmp_path / "poly.json", POLY_DOC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qccheck", "discretize", path, "--grid-points", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr.startswith("qccheck: input error: cannot write standard output: ")
+        assert len(stderr.splitlines()) == 1
 
 
 class TestImportCost:

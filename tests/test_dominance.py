@@ -20,7 +20,6 @@ from qccheck import (
 import qccheck.dominance as dominance_module
 from qccheck.dominance import _duality_check, _verify_mixture
 from qccheck.oracle import SplitMix64
-from qccheck.problems import integer_payoff
 
 
 def mixture_dominates(problem, action_index, weights):
@@ -102,7 +101,7 @@ class TestWitnessFromFarkasRay:
         """Returns how many actions are essential (have a witness)."""
         essential = 0
         for action in range(problem.num_actions):
-            weights, point = _duality_check(problem, action, integer_payoff(problem))
+            weights, point = _duality_check(problem.scaled_payoff, action)
             assert (weights is None) != (point is None)
             assert (weights is None) == (unique_optimality_witness(problem, action) is not None)
             if weights is not None:
@@ -142,7 +141,7 @@ class TestWitnessFromFarkasRay:
     )
     def test_boundary_ray_moves_inside(self, matrix, action, witness):
         problem = DecisionProblem.from_matrix(matrix)
-        weights, found = _duality_check(problem, action, integer_payoff(problem))
+        weights, found = _duality_check(problem.scaled_payoff, action)
         assert weights is None
         assert Belief.from_numerators(*found).coordinates == witness
         self.check_both_routes(problem)
@@ -150,15 +149,15 @@ class TestWitnessFromFarkasRay:
     def test_one_state_problem(self):
         # the only belief is interior, and only the best action is essential
         problem = DecisionProblem.from_matrix([[1], [4], [2]])
-        weights, found = _duality_check(problem, 1, integer_payoff(problem))
+        weights, found = _duality_check(problem.scaled_payoff, 1)
         assert weights is None and Belief.from_numerators(*found) == Belief((F(1),))
         assert self.check_both_routes(problem) == 1
 
     def test_duplicate_rows(self):
         # each copy is dominated by the other; the third action is not
         problem = DecisionProblem.from_matrix([[1, 1], [1, 1], [0, 3]])
-        assert _duality_check(problem, 0, integer_payoff(problem))[0] == (F(0), F(1), F(0))
-        assert _duality_check(problem, 1, integer_payoff(problem))[0] == (F(1), F(0), F(0))
+        assert _duality_check(problem.scaled_payoff, 0)[0] == (F(0), F(1), F(0))
+        assert _duality_check(problem.scaled_payoff, 1)[0] == (F(1), F(0), F(0))
         assert self.check_both_routes(problem) == 1
 
 
@@ -168,7 +167,7 @@ class TestMixtureVerifier:
     PROBLEM = DecisionProblem.from_matrix([[4, 0], [0, 4], [2, 2], [-4, -4]])
 
     def test_dominating_mixture_passes(self):
-        _verify_mixture(self.PROBLEM, 2, ((0, F(1, 2)), (1, F(1, 2))))
+        _verify_mixture(self.PROBLEM.payoff, 2, ((0, F(1, 2)), (1, F(1, 2))))
 
     @pytest.mark.parametrize(
         "mixture, invariant",
@@ -182,7 +181,7 @@ class TestMixtureVerifier:
     )
     def test_bad_mixture_raises(self, mixture, invariant):
         with pytest.raises(InternalInvariantError) as raised:
-            _verify_mixture(self.PROBLEM, 2, mixture)
+            _verify_mixture(self.PROBLEM.payoff, 2, mixture)
         assert raised.value.invariant == invariant
 
 
@@ -364,7 +363,7 @@ class TestEliminationScreen:
             assert report.removed == reference.removed
             # a screened action has a witness, so it is never removed; the
             # screen sees the input problem's integer rows, one per survivor
-            scaled = integer_payoff(problem)
+            scaled = problem.scaled_payoff
             rows = [scaled[i] for i in report.surviving_indices]
             assert all(row in rows for row in screened)
             for row in screened:
@@ -454,7 +453,7 @@ class TestIntegerSubstitution:
             problem = DecisionProblem.from_matrix([
                 [v / (1 + rng.next_below(4)) for v in row] for row in problem.payoff
             ])
-            rows = integer_payoff(problem)
+            rows = problem.scaled_payoff
             beliefs = list(grid_beliefs(GridSpec(4, states)))
             for _ in range(3):
                 weights = [1 + rng.next_below(9) for _ in range(states)]
@@ -472,7 +471,7 @@ class TestIntegerSubstitution:
 
     def test_a_tie_is_not_unique(self):
         problem = DecisionProblem.from_matrix([[1, 0], [0, 1], [F(1, 4), F(1, 4)]])
-        rows = integer_payoff(problem)
+        rows = problem.scaled_payoff
         uniform = Belief.uniform(2)
         assert problem.argmax_set(uniform) == {0, 1}
         assert not any(dominance_module._uniquely_best(rows, a, [1, 1]) for a in range(3))
@@ -560,8 +559,8 @@ class TestIntegerStep:
             farkas.append(result.farkas)
             return result
 
-        def recorded_duality(problem, action, scaled):
-            weights, point = duality(problem, action, scaled)
+        def recorded_duality(rows, action):
+            weights, point = duality(rows, action)
             if point is not None:
                 # the start is the LP's Farkas ray, normalized
                 (ray,) = farkas
@@ -596,7 +595,7 @@ class TestIntegerStep:
         for problem in step_cases():
             steps.clear()
             report = iterated_elimination(problem)
-            scaled = integer_payoff(problem)
+            scaled = problem.scaled_payoff
             for original, witness in zip(report.surviving_indices, report.witnesses):
                 expected = steps.get(scaled[original], Belief.uniform(problem.num_states))
                 assert witness == expected
@@ -630,3 +629,40 @@ class TestEliminationPayoffCount:
         report = iterated_elimination(problem)
         assert calls == {"payoff_profile": 0, "scaled_payoff": 1}
         assert report.removed == () and len(report.witnesses) == 9
+
+
+class TestIntegerLps:
+    def test_rational_payoffs_pose_integer_lps(self, monkeypatch):
+        # every LP dominance poses on rational payoffs reads the scaled
+        # integer rows, so the elimination is the one of the problem times
+        # its lcm, certificates included
+        systems = {"solve": [], "strict_feasible": []}
+        for name, seen in systems.items():
+            decide = getattr(dominance_module, name)
+            monkeypatch.setattr(dominance_module, name,
+                                lambda system, decide=decide, seen=seen:
+                                seen.append(system) or decide(system))
+        rng = SplitMix64(6151)
+        reasons = []
+        for case in range(60):
+            problem = random_problem(rng.next_uint64(), 2 + case % 5, 1 + case % 4,
+                                     (3, 10, 1000)[case % 3])
+            problem = DecisionProblem.from_matrix([
+                [v / (7 + case % 5) + F(j, 3 + i % 2) for j, v in enumerate(row)]
+                for i, row in enumerate(problem.payoff)
+            ])
+            report = iterated_elimination(problem)
+            for action in range(problem.num_actions):
+                mixed_dominance_certificate(problem, action)
+                unique_optimality_witness(problem, action)
+            scaled = iterated_elimination(DecisionProblem.from_matrix(problem.scaled_payoff))
+            assert report.surviving_indices == scaled.surviving_indices
+            assert report.removed == scaled.removed
+            assert report.witnesses == scaled.witnesses
+            reasons += [removal.reason for removal in report.removed]
+        assert min(map(len, systems.values())) > 100
+        assert reasons.count("mixed-dominated") > 10
+        for system in systems["solve"] + systems["strict_feasible"]:
+            for row in system.rows:
+                assert row.rhs.denominator == 1
+                assert all(c.denominator == 1 for c in row.coefficients)

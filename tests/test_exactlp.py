@@ -21,7 +21,6 @@ from qccheck import (
     solve,
     strict_feasible,
 )
-from qccheck.problems import integer_payoff
 
 
 def system(dim, rows=(), interior=False):
@@ -292,14 +291,14 @@ class TestPlanarFeasible:
 
     def test_integer_points_give_the_fraction_witness(self):
         # one positive factor scales the seeded points to integers, as
-        # integer_payoff scales a problem; the witness must not move
+        # scaled_payoff scales a problem; the witness must not move
         segments = 0
         for seed, strict in ((7919, True), (7927, False)):
             rng = SplitMix64(seed)
             for n in range(700):
                 points = [(a / (1 + s % 4), b / (1 + (s + n) % 6))
                           for s, (a, b) in enumerate(_random_points(rng))]
-                scaled = integer_payoff(DecisionProblem.from_matrix(points))
+                scaled = DecisionProblem.from_matrix(points).scaled_payoff
                 assert all(type(c) is int for point in scaled for c in point)
                 exact, integral = _decide(points, strict), _decide(scaled, strict)
                 assert integral == exact

@@ -23,7 +23,6 @@ from qccheck import (
     strict_feasible,
 )
 from qccheck.geometry import NestingFailure, NestingReport, RegionFailure
-from qccheck.problems import integer_payoff
 
 
 def _triple_gap(problem, i, j, k):
@@ -456,7 +455,7 @@ def reference_nesting(problem):
     or a verified Motzkin certificate and re-verified on the exact payoffs:
     the all-questions loop, the reference for the region questions that
     `check_nesting` leaves to the chain."""
-    scaled = integer_payoff(problem)
+    scaled = problem.scaled_payoff
 
     def beats_without(p, q, r, s):
         points = [(up - uq, us - ur)

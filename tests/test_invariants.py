@@ -74,7 +74,7 @@ def _corrupt_stored_mixture(monkeypatch):
     # actions 0 and 1 are screened; the stored removal of action 2 puts its
     # weight on action 2 itself
     monkeypatch.setattr(dominance, "_duality_check",
-                        lambda problem, action, rows: ((F(0), F(0), F(1)), None))
+                        lambda rows, action: ((F(0), F(0), F(1)), None))
     iterated_elimination(MATCHED)
 
 

@@ -33,7 +33,6 @@ from qccheck.oracle import (
     _successors,
     _tie_solver,
 )
-from qccheck.problems import integer_payoff
 
 
 class TestGridBeliefs:
@@ -209,7 +208,7 @@ class TestGridWalk:
             walked = [(tuple(x), values) for x, values in _grid_walk(problem, spec)]
             assert len(walked) == spec.count
             assert [spec.belief(x) for x, _ in walked] == list(grid_beliefs(spec))
-            scaled = integer_payoff(problem)
+            scaled = problem.scaled_payoff
             for x, values in walked:
                 assert values == [sum(m * u for m, u in zip(x, row)) for row in scaled]
             found = (find_grid_dip(problem, spec), find_grid_gap(problem, spec))

@@ -21,7 +21,6 @@ from qccheck import (
     strict_feasible,
     unimodality_profile,
 )
-from qccheck.problems import integer_payoff
 
 
 def _reference_first_dip(problem):
@@ -138,7 +137,7 @@ class TestCheckQcc:
 def _triple_scan_holds(problem):
     """The triple scan's verdict: no triple's two strict dip rows hold
     together at a point mass or on an edge, each searched by `edge_witness`."""
-    scaled = integer_payoff(problem)
+    scaled = problem.scaled_payoff
     return not any(
         exactlp.edge_witness(
             [(a - c, b - c) for a, b, c in zip(scaled[i], scaled[k], scaled[j])], (True, True)
@@ -164,7 +163,7 @@ class TestEdgeSweep:
     def test_agrees_with_the_triple_scan_and_the_two_state_oracle(self):
         holding = two_state = 0
         for problem in _sweep_cases():
-            swept = qcc_module._edge_sweep(integer_payoff(problem))
+            swept = qcc_module._edge_sweep(problem.scaled_payoff)
             assert swept == _triple_scan_holds(problem)
             if problem.num_states == 2:
                 assert swept == exact_check_two_state(problem)[0]
@@ -190,7 +189,7 @@ class TestEdgeSweep:
     )
     def test_split_of_a_holding_edge(self, matrix, split):
         problem = DecisionProblem.from_matrix(matrix)
-        ends = [(row[0], row[1]) for row in integer_payoff(problem)]
+        ends = [(row[0], row[1]) for row in problem.scaled_payoff]
         (p, q), earlier_left = qcc_module._edge_split(ends, 1)
         assert all(type(x) is int for x in (p, q)) and q > 0
         assert (F(p, q), earlier_left) == split
